@@ -29,8 +29,11 @@ use elk_baselines::Design;
 use elk_hw::SystemConfig;
 use elk_model::Phase;
 use elk_obs::Obs;
-use elk_serve::{next_step, LatencyStats, RequestOutcome, RequestTrace, SloConfig, StepPlan};
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_serve::{
+    record_requests, Group, LatencyStats, PoolSummary, RequestOutcome, RequestSummary,
+    RequestTrace, SloConfig,
+};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
 use crate::plan::ParallelismPlan;
@@ -220,9 +223,10 @@ pub struct AutoscaleReport {
 }
 
 /// Lifecycle of a group slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum GroupState {
     /// Released: no chips held, receives nothing.
+    #[default]
     Off,
     /// Provisioned, compiling its plans; receives nothing yet.
     Warming,
@@ -250,69 +254,15 @@ enum Ev {
     ScaleTick,
 }
 
-/// What a group's in-flight step will do when its completion fires.
-enum PendingStep {
-    /// Prefill of these trace indices.
-    Prefill {
-        /// Trace indices admitted into the step.
-        batch: Vec<usize>,
-    },
-    /// One decode iteration over the group's active set.
-    Decode,
-}
-
-struct InFlight {
-    idx: usize,
-    generated: u64,
-}
-
-/// One group slot's live state.
+/// One group slot: the colocated group plus its fleet lifecycle.
+#[derive(Default)]
 struct Slot {
+    group: Group,
     state: GroupState,
-    waiting: Vec<usize>,
-    active: Vec<InFlight>,
-    pending: Option<PendingStep>,
-    prefill_steps: u64,
-    decode_steps: u64,
-    queue: QueueStat,
-    served: usize,
-    /// Completion time of the slot's last step.
-    end: Seconds,
     /// When the slot was last provisioned (None while off).
     on_since: Option<Seconds>,
     /// Accumulated provisioned time from finished on-intervals.
     on_time: Seconds,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: GroupState::Off,
-            waiting: Vec::new(),
-            active: Vec::new(),
-            pending: None,
-            prefill_steps: 0,
-            decode_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-            on_since: None,
-            on_time: Seconds::ZERO,
-        }
-    }
-
-    /// Queued + in-flight requests, as the router observes them.
-    fn outstanding(&self) -> usize {
-        let in_step = match &self.pending {
-            Some(PendingStep::Prefill { batch }) => batch.len(),
-            _ => 0,
-        };
-        self.waiting.len() + self.active.len() + in_step
-    }
-
-    fn drained(&self) -> bool {
-        self.waiting.is_empty() && self.active.is_empty() && self.pending.is_none()
-    }
 }
 
 /// Trace-driven serving simulator with an elastic group fleet.
@@ -404,10 +354,7 @@ impl AutoscaleServingSim {
         ];
         let mut total = Seconds::ZERO;
         for wl in warmup {
-            total += self
-                .pricer
-                .split_step(design, wl)
-                .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
+            total += self.pricer.split_step(design, wl)?;
         }
         Ok(Seconds::new(total.as_secs() * self.auto.cold_start_steps))
     }
@@ -418,7 +365,6 @@ impl AutoscaleServingSim {
     /// # Errors
     ///
     /// Propagates compile failures as [`ClusterError::Compile`].
-    #[allow(clippy::too_many_lines)]
     pub fn run(
         &mut self,
         design: Design,
@@ -427,7 +373,7 @@ impl AutoscaleServingSim {
         let max = self.auto.max_groups as usize;
         let min = self.auto.min_groups as usize;
         let reqs = &trace.requests;
-        let mut slots: Vec<Slot> = (0..max).map(|_| Slot::new()).collect();
+        let mut slots: Vec<Slot> = (0..max).map(|_| Slot::default()).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
         let mut transitions: Vec<ScaleEvent> = Vec::new();
         let mut q: EventQueue<Ev> = EventQueue::new();
@@ -508,56 +454,20 @@ impl AutoscaleServingSim {
                         .iter()
                         .enumerate()
                         .filter(|(_, s)| s.state == GroupState::Ready)
-                        .min_by_key(|(gid, s)| (s.outstanding(), *gid))
+                        .min_by_key(|(gid, s)| (s.group.outstanding(), *gid))
                         .map(|(gid, _)| gid)
                         .expect("the fleet floor keeps >= 1 group ready");
-                    let slot = &mut slots[pick];
-                    slot.waiting.push(idx);
-                    slot.served += 1;
-                    slot.queue.record(now, slot.waiting.len());
+                    slots[pick].group.enqueue(now, idx);
                 }
                 Ev::StepDone { gid } => {
-                    let slot = &mut slots[gid];
-                    match slot.pending.take().expect("StepDone implies a step") {
-                        PendingStep::Prefill { batch } => {
-                            slot.prefill_steps += 1;
-                            for idx in batch {
-                                let outcome = RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica: gid,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                };
-                                if reqs[idx].output_len > 1 {
-                                    slot.active.push(InFlight { idx, generated: 1 });
-                                } else {
-                                    completed += 1;
-                                    window_completed += 1;
-                                    window_met += usize::from(outcome.meets(&self.config.slo));
-                                }
-                                outcomes[idx] = Some(outcome);
-                            }
-                        }
-                        PendingStep::Decode => {
-                            slot.decode_steps += 1;
-                            let slo = self.config.slo;
-                            slot.active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                let live = a.generated < reqs[a.idx].output_len;
-                                if !live {
-                                    completed += 1;
-                                    window_completed += 1;
-                                    window_met += usize::from(outcome.meets(&slo));
-                                }
-                                live
-                            });
-                        }
-                    }
-                    slot.end = now;
+                    let slo = self.config.slo;
+                    slots[gid]
+                        .group
+                        .finish_step(gid, now, reqs, &mut outcomes, |o| {
+                            completed += 1;
+                            window_completed += 1;
+                            window_met += usize::from(o.meets(&slo));
+                        });
                 }
                 Ev::GroupReady { gid } => {
                     let slot = &mut slots[gid];
@@ -573,7 +483,10 @@ impl AutoscaleServingSim {
                 }
                 Ev::ScaleTick => {
                     let ready = ready_count(&slots);
-                    let area_now: f64 = slots.iter().map(|s| s.queue.area_until(now)).sum();
+                    let area_now: f64 = slots
+                        .iter()
+                        .map(|s| s.group.stats.queue.area_until(now))
+                        .sum();
                     let depth =
                         (area_now - area_prev) / self.auto.interval.as_secs() / ready.max(1) as f64;
                     area_prev = area_now;
@@ -666,77 +579,29 @@ impl AutoscaleServingSim {
             }
             for gid in 0..slots.len() {
                 let slot = &mut slots[gid];
-                if !matches!(slot.state, GroupState::Ready | GroupState::Draining)
-                    || slot.pending.is_some()
-                {
+                if !matches!(slot.state, GroupState::Ready | GroupState::Draining) {
                     continue;
                 }
-                let prompts: Vec<u64> = slot
-                    .waiting
-                    .iter()
-                    .take(self.config.batch.max_batch as usize)
-                    .map(|&i| reqs[i].prompt_len)
-                    .collect();
-                match next_step(&self.config.batch, &prompts, slot.active.len()) {
-                    Some(step) => {
-                        let latency = match step {
-                            StepPlan::Prefill { admit } => {
-                                let batch: Vec<usize> = slot.waiting.drain(..admit).collect();
-                                slot.queue.record(now, slot.waiting.len());
-                                let longest = batch
-                                    .iter()
-                                    .map(|&i| reqs[i].prompt_len)
-                                    .max()
-                                    .expect("prefill admits >= 1");
-                                let wl = self.config.batch.step_workload(
-                                    Phase::Prefill,
-                                    batch.len() as u64,
-                                    longest,
-                                );
-                                let latency = self.pricer.split_step(design, wl).map_err(
-                                    |(stage, source)| ClusterError::Compile { stage, source },
-                                )?;
-                                slot.pending = Some(PendingStep::Prefill { batch });
-                                latency
-                            }
-                            StepPlan::Decode => {
-                                let deepest = slot
-                                    .active
-                                    .iter()
-                                    .map(|a| reqs[a.idx].prompt_len + a.generated)
-                                    .max()
-                                    .expect("decode requires >= 1 active");
-                                let wl = self.config.batch.step_workload(
-                                    Phase::Decode,
-                                    slot.active.len() as u64,
-                                    deepest,
-                                );
-                                let latency = self.pricer.split_step(design, wl).map_err(
-                                    |(stage, source)| ClusterError::Compile { stage, source },
-                                )?;
-                                slot.pending = Some(PendingStep::Decode);
-                                latency
-                            }
-                        };
-                        q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
+                let price = |wl| self.pricer.split_step(design, wl);
+                if let Some((latency, _)) =
+                    slot.group
+                        .start_step(now, &self.config.batch, reqs, price)?
+                {
+                    q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
+                } else if slot.state == GroupState::Draining && slot.group.is_drained() {
+                    // An idle draining group releases its chips.
+                    slot.state = GroupState::Off;
+                    if let Some(since) = slot.on_since.take() {
+                        slot.on_time += now - since;
                     }
-                    None => {
-                        // An idle draining group releases its chips.
-                        if slot.state == GroupState::Draining && slot.drained() {
-                            slot.state = GroupState::Off;
-                            if let Some(since) = slot.on_since.take() {
-                                slot.on_time += now - since;
-                            }
-                            on_now -= 1;
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Off,
-                                group: gid,
-                                ready: ready_count(&slots),
-                                cold_start: Seconds::ZERO,
-                            });
-                        }
-                    }
+                    on_now -= 1;
+                    transitions.push(ScaleEvent {
+                        time: now,
+                        kind: ScaleEventKind::Off,
+                        group: gid,
+                        ready: ready_count(&slots),
+                        cold_start: Seconds::ZERO,
+                    });
                 }
             }
         }
@@ -764,7 +629,6 @@ impl AutoscaleServingSim {
     }
 
     /// Folds per-request outcomes into the aggregate report.
-    #[allow(clippy::too_many_lines)]
     fn summarize(
         &self,
         design: Design,
@@ -797,73 +661,25 @@ impl AutoscaleServingSim {
                 self.obs
                     .gauge("fleet", "ready_groups", ev.time, ev.ready as f64);
             }
-            for (idx, o) in outcomes.iter().enumerate() {
-                self.obs.histogram("autoscale.ttft", o.ttft());
-                if let Some(t) = o.tpot() {
-                    self.obs.histogram("autoscale.tpot", t);
-                }
-                self.obs.histogram("autoscale.e2e", o.e2e());
-                if !self.obs.sampled(idx) {
-                    continue;
-                }
-                let track = format!("req/{}", o.id);
-                let group = [("group", o.replica.to_string())];
-                self.obs.span(
-                    &track,
-                    "prefill",
-                    o.arrival,
-                    o.first_token - o.arrival,
-                    &group,
-                );
-                if o.completion > o.first_token {
-                    self.obs.span(
-                        &track,
-                        "decode",
-                        o.first_token,
-                        o.completion - o.first_token,
-                        &group,
-                    );
-                }
-            }
         }
-        let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-        let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-        let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-        let met = outcomes
-            .iter()
-            .filter(|o| o.meets(&self.config.slo))
-            .count();
-        let makespan = slots
-            .iter()
-            .map(|s| s.end)
-            .fold(Seconds::ZERO, Seconds::max);
-        let span = makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        let depth_area: f64 = slots.iter().map(|s| s.queue.area_until(s.end)).sum();
-        let sim_time: f64 = slots.iter().map(|s| s.end.as_secs()).sum();
-        let max_queue_depth = slots.iter().map(|s| s.queue.max_depth()).max().unwrap_or(0);
-        let prefill_steps = slots.iter().map(|s| s.prefill_steps).sum();
-        let decode_steps = slots.iter().map(|s| s.decode_steps).sum();
-        let per_group_requests = slots.iter().map(|s| s.served).collect();
+        record_requests(&self.obs, "autoscale", "group", &outcomes);
         // Groups still provisioned at the end bill until the makespan.
+        let lifecycles: Vec<(Seconds, Option<Seconds>)> =
+            slots.iter().map(|s| (s.on_time, s.on_since)).collect();
+        let pool = PoolSummary::of(slots.into_iter().map(|s| s.group.stats));
+        let summary = RequestSummary::of(&outcomes, self.config.slo, pool.makespan);
         let group_chips = (self.config.plan.tp * self.config.plan.pp) as f64;
-        let chip_seconds: f64 = slots
-            .iter()
-            .map(|s| {
-                let mut on = s.on_time;
-                if let Some(since) = s.on_since {
-                    if makespan > since {
-                        on += makespan - since;
+        let chip_seconds: f64 = lifecycles
+            .into_iter()
+            .map(|(mut on, since)| {
+                if let Some(since) = since {
+                    if pool.makespan > since {
+                        on += pool.makespan - since;
                     }
                 }
                 on.as_secs() * group_chips
             })
             .sum();
-        let mut queue_depth: Vec<(Seconds, usize)> = slots
-            .into_iter()
-            .flat_map(|s| s.queue.into_samples())
-            .collect();
-        queue_depth.sort_by_key(|&(t, _)| t);
         AutoscaleReport {
             design,
             plan: self.config.plan,
@@ -871,29 +687,21 @@ impl AutoscaleServingSim {
             max_groups: self.auto.max_groups,
             requests: trace.len(),
             completed: outcomes.len(),
-            makespan,
-            ttft: LatencyStats::of(&ttft),
-            tpot: LatencyStats::of(&tpot),
-            e2e: LatencyStats::of(&e2e),
-            slo: self.config.slo,
-            slo_attainment: if outcomes.is_empty() {
-                0.0
-            } else {
-                met as f64 / outcomes.len() as f64
-            },
-            goodput_rps: per_sec(met as f64),
-            throughput_rps: per_sec(outcomes.len() as f64),
-            tokens_per_sec: per_sec(trace.total_output_tokens() as f64),
-            prefill_steps,
-            decode_steps,
-            per_group_requests,
-            mean_queue_depth: if sim_time > 0.0 {
-                depth_area / sim_time
-            } else {
-                0.0
-            },
-            max_queue_depth,
-            queue_depth,
+            makespan: pool.makespan,
+            ttft: summary.ttft,
+            tpot: summary.tpot,
+            e2e: summary.e2e,
+            slo: summary.slo,
+            slo_attainment: summary.slo_attainment,
+            goodput_rps: summary.goodput_rps,
+            throughput_rps: summary.throughput_rps,
+            tokens_per_sec: summary.tokens_per_sec,
+            prefill_steps: pool.prefill_steps,
+            decode_steps: pool.decode_steps,
+            per_group_requests: pool.per_group_requests,
+            mean_queue_depth: pool.mean_queue_depth,
+            max_queue_depth: pool.max_queue_depth,
+            queue_depth: pool.queue_depth,
             scale_ups: extra.scale_ups,
             scale_downs: extra.scale_downs,
             cold_starts: extra.cold_starts,

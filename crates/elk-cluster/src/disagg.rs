@@ -46,11 +46,12 @@ use elk_hw::{CollectiveModel, SystemConfig};
 use elk_model::{DType, Phase, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
-    next_step, BatchConfig, LatencyStats, PlanCache, RequestOutcome, RequestTrace, Router,
+    finish_decode, next_step, record_requests_with, BatchConfig, GroupStats, InFlight,
+    LatencyStats, PlanCache, PoolSummary, RequestOutcome, RequestSummary, RequestTrace, Router,
     RouterPolicy, SloConfig, StepPlan,
 };
 use elk_sim::SimOptions;
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::{Bytes, Seconds};
 
 use crate::plan::ParallelismPlan;
@@ -250,28 +251,15 @@ enum Ev {
 /// One prefill group's live state: a FIFO of prompts (partially
 /// prefilled heads return to the front) and at most one step in
 /// flight.
+#[derive(Default)]
 struct PGroup {
     waiting: Vec<usize>,
     /// `(idx, tokens)` pairs the in-flight step is processing.
     pending: Option<Vec<(usize, u64)>>,
-    prefill_steps: u64,
-    queue: QueueStat,
-    served: usize,
-    end: Seconds,
+    stats: GroupStats,
 }
 
 impl PGroup {
-    fn new() -> Self {
-        PGroup {
-            waiting: Vec::new(),
-            pending: None,
-            prefill_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-        }
-    }
-
     /// Requests inside the in-flight step.
     fn in_step(&self) -> usize {
         self.pending.as_ref().map_or(0, Vec::len)
@@ -280,7 +268,8 @@ impl PGroup {
 
 /// One decode group's live state: landed KV arrivals stage in
 /// `arrived` until a batch slot frees, `active` decodes one token per
-/// step.
+/// step. `stats.queue` tracks the staged arrivals.
+#[derive(Default)]
 struct DGroup {
     /// Handed-off requests waiting for a decode batch slot.
     arrived: Vec<InFlight>,
@@ -289,26 +278,10 @@ struct DGroup {
     pending: bool,
     /// Handoffs in transit destined for this group.
     inbound: usize,
-    decode_steps: u64,
-    queue: QueueStat,
-    served: usize,
-    end: Seconds,
+    stats: GroupStats,
 }
 
 impl DGroup {
-    fn new() -> Self {
-        DGroup {
-            arrived: Vec::new(),
-            active: Vec::new(),
-            pending: false,
-            inbound: 0,
-            decode_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-        }
-    }
-
     /// Requests a back-tier router counts against this group: decoding,
     /// staged, and in-transit.
     fn outstanding(&self) -> usize {
@@ -322,14 +295,9 @@ impl DGroup {
         let n = free.min(self.arrived.len());
         if n > 0 {
             self.active.extend(self.arrived.drain(..n));
-            self.queue.record(now, self.arrived.len());
+            self.stats.queue.record(now, self.arrived.len());
         }
     }
-}
-
-struct InFlight {
-    idx: usize,
-    generated: u64,
 }
 
 /// Trace-driven disaggregated serving simulator for one
@@ -450,8 +418,8 @@ impl DisaggServingSim {
         let d_dp = self.config.decode.dp as usize;
         let mut front = Router::new(policy, p_dp);
         let mut back = Router::new(policy, d_dp);
-        let mut pgroups: Vec<PGroup> = (0..p_dp).map(|_| PGroup::new()).collect();
-        let mut dgroups: Vec<DGroup> = (0..d_dp).map(|_| DGroup::new()).collect();
+        let mut pgroups: Vec<PGroup> = (0..p_dp).map(|_| PGroup::default()).collect();
+        let mut dgroups: Vec<DGroup> = (0..d_dp).map(|_| DGroup::default()).collect();
         let reqs = &trace.requests;
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
         // Per-request prefill progress and handoff bookkeeping.
@@ -500,14 +468,14 @@ impl DisaggServingSim {
                     let pick = front.route(&outstanding);
                     let group = &mut pgroups[pick];
                     group.waiting.push(idx);
-                    group.served += 1;
-                    group.queue.record(now, group.waiting.len());
+                    group.stats.served += 1;
+                    group.stats.queue.record(now, group.waiting.len());
                 }
                 Ev::PrefillDone { gid } => {
                     let group = &mut pgroups[gid];
                     let batch = group.pending.take().expect("PrefillDone implies a step");
-                    group.prefill_steps += 1;
-                    group.end = now;
+                    group.stats.prefill_steps += 1;
+                    group.stats.end = now;
                     let mut unfinished: Vec<usize> = Vec::new();
                     for (idx, tokens) in batch {
                         prefilled[idx] += tokens;
@@ -538,14 +506,14 @@ impl DisaggServingSim {
                         kv_moved += bytes;
                         handoff_total += latency;
                         dgroups[to].inbound += 1;
-                        dgroups[to].served += 1;
+                        dgroups[to].stats.served += 1;
                         q.schedule_after(latency, PRIO_HANDOFF, Ev::Handoff { idx, to });
                     }
                     // A chunked head returns to the front of its FIFO.
                     if !unfinished.is_empty() {
                         let group = &mut pgroups[gid];
                         group.waiting.splice(0..0, unfinished);
-                        group.queue.record(now, group.waiting.len());
+                        group.stats.queue.record(now, group.waiting.len());
                     }
                 }
                 Ev::Handoff { idx, to } => {
@@ -569,21 +537,16 @@ impl DisaggServingSim {
                     });
                     if reqs[idx].output_len > 1 {
                         group.arrived.push(InFlight { idx, generated: 1 });
-                        group.queue.record(now, group.arrived.len());
+                        group.stats.queue.record(now, group.arrived.len());
                     }
                 }
                 Ev::DecodeDone { gid } => {
                     let group = &mut dgroups[gid];
                     assert!(group.pending, "DecodeDone implies a step");
                     group.pending = false;
-                    group.decode_steps += 1;
-                    group.active.retain_mut(|a| {
-                        a.generated += 1;
-                        let outcome = outcomes[a.idx].as_mut().expect("handed off");
-                        outcome.completion = now;
-                        a.generated < reqs[a.idx].output_len
-                    });
-                    group.end = now;
+                    group.stats.decode_steps += 1;
+                    finish_decode(&mut group.active, now, reqs, &mut outcomes, |_| {});
+                    group.stats.end = now;
                 }
             }
             // Defer dispatch until every event at this instant has
@@ -695,7 +658,7 @@ impl DisaggServingSim {
                         .drain(..admit)
                         .map(|i| (i, reqs[i].prompt_len))
                         .collect();
-                    group.queue.record(now, group.waiting.len());
+                    group.stats.queue.record(now, group.waiting.len());
                     Some(batch)
                 }
                 StepPlan::Decode => None,
@@ -721,7 +684,7 @@ impl DisaggServingSim {
             budget -= take;
         }
         group.waiting.drain(..batch.len());
-        group.queue.record(now, group.waiting.len());
+        group.stats.queue.record(now, group.waiting.len());
         Some(batch)
     }
 
@@ -744,9 +707,7 @@ impl DisaggServingSim {
             .config
             .batch
             .step_workload(Phase::Prefill, batch.len() as u64, deepest);
-        self.prefill_pricer
-            .split_step(design, wl)
-            .map_err(|(stage, source)| ClusterError::Compile { stage, source })
+        self.prefill_pricer.split_step(design, wl)
     }
 
     /// Prices one decode step over a group's active set.
@@ -766,9 +727,7 @@ impl DisaggServingSim {
             .config
             .batch
             .step_workload(Phase::Decode, group.active.len() as u64, deepest);
-        self.decode_pricer
-            .split_step(design, wl)
-            .map_err(|(stage, source)| ClusterError::Compile { stage, source })
+        self.decode_pricer.split_step(design, wl)
     }
 
     /// Folds per-request outcomes into the aggregate report.
@@ -787,29 +746,26 @@ impl DisaggServingSim {
         prefill_tokens: u64,
         sim_events: u64,
     ) -> DisaggServingReport {
+        let mut by_id = std::collections::BTreeMap::new();
         if self.obs.enabled() {
-            let by_id: std::collections::BTreeMap<u64, &HandoffRecord> =
-                handoffs.iter().map(|h| (h.id, h)).collect();
-            for (idx, o) in outcomes.iter().enumerate() {
-                self.obs.histogram("disagg.ttft", o.ttft());
-                if let Some(t) = o.tpot() {
-                    self.obs.histogram("disagg.tpot", t);
-                }
-                self.obs.histogram("disagg.e2e", o.e2e());
-                if !self.obs.sampled(idx) {
-                    continue;
-                }
-                let track = format!("req/{}", o.id);
+            by_id.extend(handoffs.iter().map(|h| (h.id, h)));
+        }
+        record_requests_with(
+            &self.obs,
+            "disagg",
+            "decode_group",
+            &outcomes,
+            |track, o| {
                 let h = by_id.get(&o.id).expect("every request hands off once");
                 self.obs.span(
-                    &track,
+                    track,
                     "prefill",
                     o.arrival,
                     h.prefill_done - o.arrival,
                     &[("prefill_group", h.from.to_string())],
                 );
                 self.obs.span(
-                    &track,
+                    track,
                     "handoff",
                     h.prefill_done,
                     h.handoff_done - h.prefill_done,
@@ -818,55 +774,12 @@ impl DisaggServingSim {
                         ("bytes", h.bytes.get().to_string()),
                     ],
                 );
-                if o.completion > o.first_token {
-                    self.obs.span(
-                        &track,
-                        "decode",
-                        o.first_token,
-                        o.completion - o.first_token,
-                        &[("decode_group", o.replica.to_string())],
-                    );
-                }
-            }
-        }
-        let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-        let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-        let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-        let met = outcomes
-            .iter()
-            .filter(|o| o.meets(&self.config.slo))
-            .count();
-        let makespan = pgroups
-            .iter()
-            .map(|g| g.end)
-            .chain(dgroups.iter().map(|g| g.end))
-            .fold(Seconds::ZERO, Seconds::max);
-        let span = makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        let tier_mean = |area: f64, time: f64| if time > 0.0 { area / time } else { 0.0 };
-        let p_area: f64 = pgroups.iter().map(|g| g.queue.area_until(g.end)).sum();
-        let p_time: f64 = pgroups.iter().map(|g| g.end.as_secs()).sum();
-        let d_area: f64 = dgroups.iter().map(|g| g.queue.area_until(g.end)).sum();
-        let d_time: f64 = dgroups.iter().map(|g| g.end.as_secs()).sum();
-        let prefill_max_queue_depth = pgroups
-            .iter()
-            .map(|g| g.queue.max_depth())
-            .max()
-            .unwrap_or(0);
-        let decode_max_queue_depth = dgroups
-            .iter()
-            .map(|g| g.queue.max_depth())
-            .max()
-            .unwrap_or(0);
-        let prefill_steps = pgroups.iter().map(|g| g.prefill_steps).sum();
-        let decode_steps = dgroups.iter().map(|g| g.decode_steps).sum();
-        let per_prefill_group_requests = pgroups.iter().map(|g| g.served).collect();
-        let per_decode_group_requests = dgroups.iter().map(|g| g.served).collect();
-        let mut queue_depth: Vec<(Seconds, usize)> = pgroups
-            .into_iter()
-            .flat_map(|g| g.queue.into_samples())
-            .collect();
-        queue_depth.sort_by_key(|&(t, _)| t);
+            },
+        );
+        let prefill = PoolSummary::of(pgroups.into_iter().map(|g| g.stats));
+        let decode = PoolSummary::of(dgroups.into_iter().map(|g| g.stats));
+        let makespan = prefill.makespan.max(decode.makespan);
+        let summary = RequestSummary::of(&outcomes, self.config.slo, makespan);
         DisaggServingReport {
             design,
             policy,
@@ -877,30 +790,26 @@ impl DisaggServingSim {
             requests: trace.len(),
             completed: outcomes.len(),
             makespan,
-            ttft: LatencyStats::of(&ttft),
-            tpot: LatencyStats::of(&tpot),
-            e2e: LatencyStats::of(&e2e),
-            slo: self.config.slo,
-            slo_attainment: if outcomes.is_empty() {
-                0.0
-            } else {
-                met as f64 / outcomes.len() as f64
-            },
-            goodput_rps: per_sec(met as f64),
-            throughput_rps: per_sec(outcomes.len() as f64),
-            tokens_per_sec: per_sec(trace.total_output_tokens() as f64),
-            prefill_steps,
-            decode_steps,
+            ttft: summary.ttft,
+            tpot: summary.tpot,
+            e2e: summary.e2e,
+            slo: summary.slo,
+            slo_attainment: summary.slo_attainment,
+            goodput_rps: summary.goodput_rps,
+            throughput_rps: summary.throughput_rps,
+            tokens_per_sec: summary.tokens_per_sec,
+            prefill_steps: prefill.prefill_steps,
+            decode_steps: decode.decode_steps,
             prefill_tokens,
-            per_prefill_group_requests,
-            per_decode_group_requests,
+            per_prefill_group_requests: prefill.per_group_requests,
+            per_decode_group_requests: decode.per_group_requests,
             kv_moved,
             handoff_total,
-            prefill_mean_queue_depth: tier_mean(p_area, p_time),
-            prefill_max_queue_depth,
-            decode_mean_queue_depth: tier_mean(d_area, d_time),
-            decode_max_queue_depth,
-            queue_depth,
+            prefill_mean_queue_depth: prefill.mean_queue_depth,
+            prefill_max_queue_depth: prefill.max_queue_depth,
+            decode_mean_queue_depth: decode.mean_queue_depth,
+            decode_max_queue_depth: decode.max_queue_depth,
+            queue_depth: prefill.queue_depth,
             sim_events,
             handoffs,
             outcomes,

@@ -3,22 +3,23 @@
 //! through the single-flight [`PlanCache`] and composed with the
 //! stage-boundary collective cost.
 //!
-//! Both [`ClusterServingSim`](crate::ClusterServingSim) and the
-//! autoscaling engine ([`AutoscaleServingSim`](crate::AutoscaleServingSim))
-//! price steps here, so a shape compiled by one is a cache hit for the
-//! other and their latencies agree exactly.
+//! All four cluster engines — [`ClusterServingSim`](crate::ClusterServingSim),
+//! [`TenantServingSim`](crate::TenantServingSim),
+//! [`AutoscaleServingSim`](crate::AutoscaleServingSim) and both pools of
+//! [`DisaggServingSim`](crate::DisaggServingSim) — price steps here, so
+//! equal layouts price equal shapes to the same latency.
 
 use std::sync::Arc;
 
 use elk_baselines::{Design, DesignRunner};
-use elk_core::CompileError;
 use elk_hw::{CollectiveModel, SystemConfig};
 use elk_model::{TransformerConfig, Workload};
-use elk_serve::{CacheStats, PlanCache};
+use elk_serve::{infeasible, split_latency, CacheStats, PlanCache};
 use elk_sim::SimOptions;
 use elk_units::Seconds;
 
 use crate::plan::{ParallelismPlan, StageSpan};
+use crate::ClusterError;
 
 /// Prices pipeline steps for one `(pod, model, tp, pp)` layout. Owns
 /// the group-level [`DesignRunner`] (fitted cost model) and a handle on
@@ -83,12 +84,7 @@ impl StepPricer {
 
     /// Latency of one bucketed `wl` step through the whole `(tp, pp)`
     /// pipeline: every stage in sequence plus stage-boundary transfers.
-    /// Errors carry the failing stage index.
-    pub fn pipeline_step(
-        &self,
-        design: Design,
-        wl: Workload,
-    ) -> Result<Seconds, (usize, CompileError)> {
+    fn pipeline_step(&self, design: Design, wl: Workload) -> Result<Seconds, ClusterError> {
         let model = &self.model;
         let mut total = Seconds::ZERO;
         // The exact boundary formula the estimator uses.
@@ -106,7 +102,10 @@ impl StepPricer {
                     &self.sim,
                     |w, s| model.build_stage(w, s, span.layers.clone(), span.embed, span.head),
                 )
-                .map_err(|e| (span.index, e))?;
+                .map_err(|source| ClusterError::Compile {
+                    stage: span.index,
+                    source,
+                })?;
             if span.index + 1 != self.stages.len() {
                 total += boundary;
             }
@@ -115,37 +114,12 @@ impl StepPricer {
     }
 
     /// [`pipeline_step`](Self::pipeline_step) with the serving layer's
-    /// micro-batch fallback: when the full batch shape has no feasible
-    /// on-chip plan, halve the batch until it compiles (a batch-1
-    /// failure is a genuine error).
-    pub fn split_step(
-        &self,
-        design: Design,
-        wl: Workload,
-    ) -> Result<Seconds, (usize, CompileError)> {
-        match self.pipeline_step(design, wl) {
-            Ok(t) => Ok(t),
-            Err((
-                _,
-                CompileError::NoFeasiblePlan { .. } | CompileError::CapacityExceeded { .. },
-            )) if wl.batch > 1 => {
-                let lo = Workload {
-                    batch: wl.batch / 2,
-                    ..wl
-                };
-                let hi = Workload {
-                    batch: wl.batch - wl.batch / 2,
-                    ..wl
-                };
-                let a = self.split_step(design, lo)?;
-                let b = if hi.batch == lo.batch {
-                    a
-                } else {
-                    self.split_step(design, hi)?
-                };
-                Ok(a + b)
-            }
-            Err(e) => Err(e),
-        }
+    /// micro-batch fallback ([`split_latency`]).
+    pub fn split_step(&self, design: Design, wl: Workload) -> Result<Seconds, ClusterError> {
+        split_latency(
+            wl,
+            &|wl| self.pipeline_step(design, wl),
+            |e| matches!(e, ClusterError::Compile { source, .. } if infeasible(source)),
+        )
     }
 }

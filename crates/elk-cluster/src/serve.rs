@@ -24,14 +24,14 @@ use serde::Serialize;
 
 use elk_baselines::Design;
 use elk_hw::SystemConfig;
-use elk_model::{Phase, TransformerConfig};
+use elk_model::TransformerConfig;
 use elk_obs::Obs;
 use elk_serve::{
-    next_step, BatchConfig, LatencyStats, RequestOutcome, RequestTrace, Router, RouterPolicy,
-    SloConfig, StepPlan,
+    record_requests, BatchConfig, Group, LatencyStats, PoolSummary, RequestOutcome, RequestSummary,
+    RequestTrace, Router, RouterPolicy, SloConfig,
 };
 use elk_sim::SimOptions;
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
 use crate::plan::ParallelismPlan;
@@ -146,65 +146,6 @@ enum Ev {
     },
 }
 
-/// What a group's in-flight step will do when its completion fires.
-/// Crate-visible so the tenancy engine reuses the same step machinery.
-pub(crate) enum PendingStep {
-    /// Prefill of these trace indices.
-    Prefill {
-        /// Trace indices admitted into the step.
-        batch: Vec<usize>,
-    },
-    /// One decode iteration over the group's active set.
-    Decode,
-}
-
-/// One replica group's live state during the event loop.
-pub(crate) struct Group {
-    /// Waiting queue, trace indices in dispatch order (FIFO).
-    pub(crate) waiting: Vec<usize>,
-    /// Active (decoding) requests.
-    pub(crate) active: Vec<InFlight>,
-    /// The step currently running on the group's chips, if any.
-    pub(crate) pending: Option<PendingStep>,
-    pub(crate) prefill_steps: u64,
-    pub(crate) decode_steps: u64,
-    /// Waiting-queue depth trace (transitions + time-weighted area).
-    pub(crate) queue: QueueStat,
-    pub(crate) served: usize,
-    /// Completion time of the group's last step.
-    pub(crate) end: Seconds,
-}
-
-pub(crate) struct InFlight {
-    pub(crate) idx: usize,
-    pub(crate) generated: u64,
-}
-
-impl Group {
-    pub(crate) fn new() -> Self {
-        Group {
-            waiting: Vec::new(),
-            active: Vec::new(),
-            pending: None,
-            prefill_steps: 0,
-            decode_steps: 0,
-            queue: QueueStat::new(),
-            served: 0,
-            end: Seconds::ZERO,
-        }
-    }
-
-    /// Queued + in-flight requests, as a front-end router observes them:
-    /// requests inside an unfinished prefill step still count.
-    pub(crate) fn outstanding(&self) -> usize {
-        let in_step = match &self.pending {
-            Some(PendingStep::Prefill { batch }) => batch.len(),
-            _ => 0,
-        };
-        self.waiting.len() + self.active.len() + in_step
-    }
-}
-
 /// Trace-driven cluster serving simulator for one (pod, model, plan).
 ///
 /// Owns the group-level `DesignRunner` (fitted cost model) and the
@@ -284,7 +225,7 @@ impl ClusterServingSim {
     ) -> Result<ClusterServingReport, ClusterError> {
         let dp = self.config.plan.dp as usize;
         let mut router = Router::new(policy, dp);
-        let mut groups: Vec<Group> = (0..dp).map(|_| Group::new()).collect();
+        let mut groups: Vec<Group> = (0..dp).map(|_| Group::default()).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
         let reqs = &trace.requests;
 
@@ -308,42 +249,10 @@ impl ClusterServingSim {
             match fired.event {
                 Ev::Arrival(idx) => {
                     let outstanding: Vec<usize> = groups.iter().map(Group::outstanding).collect();
-                    let pick = router.route(&outstanding);
-                    let group = &mut groups[pick];
-                    group.waiting.push(idx);
-                    group.served += 1;
-                    group.queue.record(now, group.waiting.len());
+                    groups[router.route(&outstanding)].enqueue(now, idx);
                 }
                 Ev::StepDone { gid } => {
-                    let group = &mut groups[gid];
-                    match group.pending.take().expect("StepDone implies a step") {
-                        PendingStep::Prefill { batch } => {
-                            group.prefill_steps += 1;
-                            for idx in batch {
-                                outcomes[idx] = Some(RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica: gid,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                });
-                                if reqs[idx].output_len > 1 {
-                                    group.active.push(InFlight { idx, generated: 1 });
-                                }
-                            }
-                        }
-                        PendingStep::Decode => {
-                            group.decode_steps += 1;
-                            group.active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                a.generated < reqs[a.idx].output_len
-                            });
-                        }
-                    }
-                    group.end = now;
+                    groups[gid].finish_step(gid, now, reqs, &mut outcomes, |_| {});
                 }
             }
             // Defer dispatch until every event at this instant has
@@ -352,60 +261,12 @@ impl ClusterServingSim {
                 continue;
             }
             for (gid, group) in groups.iter_mut().enumerate() {
-                if group.pending.is_some() {
-                    continue;
+                let price = |wl| self.pricer.split_step(design, wl);
+                if let Some((latency, _)) =
+                    group.start_step(now, &self.config.batch, reqs, price)?
+                {
+                    q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
                 }
-                let prompts: Vec<u64> = group
-                    .waiting
-                    .iter()
-                    .take(self.config.batch.max_batch as usize)
-                    .map(|&i| reqs[i].prompt_len)
-                    .collect();
-                let Some(step) = next_step(&self.config.batch, &prompts, group.active.len()) else {
-                    continue;
-                };
-                let latency = match step {
-                    StepPlan::Prefill { admit } => {
-                        let batch: Vec<usize> = group.waiting.drain(..admit).collect();
-                        group.queue.record(now, group.waiting.len());
-                        let longest = batch
-                            .iter()
-                            .map(|&i| reqs[i].prompt_len)
-                            .max()
-                            .expect("prefill admits >= 1");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Prefill,
-                            batch.len() as u64,
-                            longest,
-                        );
-                        let latency = self
-                            .pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Prefill { batch });
-                        latency
-                    }
-                    StepPlan::Decode => {
-                        let deepest = group
-                            .active
-                            .iter()
-                            .map(|a| reqs[a.idx].prompt_len + a.generated)
-                            .max()
-                            .expect("decode requires >= 1 active");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Decode,
-                            group.active.len() as u64,
-                            deepest,
-                        );
-                        let latency = self
-                            .pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Decode);
-                        latency
-                    }
-                };
-                q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
             }
         }
 
@@ -417,126 +278,54 @@ impl ClusterServingSim {
             let d = self.pricer.cache_stats().since(stats_before);
             self.obs.counter("cluster.cache.lookups", d.hits + d.misses);
         }
+        record_requests(&self.obs, "cluster", "group", &outcomes);
         Ok(summarize_groups(
+            &self.config,
             design,
             policy,
-            self.config.plan,
-            self.config.slo,
             trace.len(),
-            trace.total_output_tokens(),
             groups,
             outcomes,
             (q.events_processed(), q.peak_len()),
-            &self.obs,
         ))
     }
 }
 
-/// Folds per-request outcomes into the aggregate report. Shared by the
-/// plain cluster engine and the tenancy engine — the latter passes the
-/// *served* token total (rejected requests generate nothing) and an
-/// outcome list that may be shorter than the trace.
-#[allow(clippy::too_many_arguments)]
+/// Folds a routed run into the cluster report. Shared by the plain
+/// cluster engine and the tenancy engine, whose outcome list may be
+/// shorter than the trace's `requests` (rejected requests never run).
 pub(crate) fn summarize_groups(
+    config: &ClusterServeConfig,
     design: Design,
     policy: RouterPolicy,
-    plan: ParallelismPlan,
-    slo: SloConfig,
     requests: usize,
-    served_tokens: u64,
     groups: Vec<Group>,
     outcomes: Vec<RequestOutcome>,
     (sim_events, peak_event_queue_len): (u64, usize),
-    obs: &Obs,
 ) -> ClusterServingReport {
-    if obs.enabled() {
-        // Lanes and histograms derive from the final outcome list
-        // (trace order), so they are deterministic by construction.
-        for (i, o) in outcomes.iter().enumerate() {
-            obs.histogram("cluster.ttft", o.ttft());
-            if let Some(t) = o.tpot() {
-                obs.histogram("cluster.tpot", t);
-            }
-            obs.histogram("cluster.e2e", o.e2e());
-            if !obs.sampled(i) {
-                continue;
-            }
-            let track = format!("req/{}", o.id);
-            let args = [("group", o.replica.to_string())];
-            obs.span(
-                &track,
-                "prefill",
-                o.arrival,
-                o.first_token - o.arrival,
-                &args,
-            );
-            if o.completion > o.first_token {
-                obs.span(
-                    &track,
-                    "decode",
-                    o.first_token,
-                    o.completion - o.first_token,
-                    &args,
-                );
-            }
-        }
-    }
-    let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-    let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-    let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-    let met = outcomes.iter().filter(|o| o.meets(&slo)).count();
-    let makespan = groups
-        .iter()
-        .map(|g| g.end)
-        .fold(Seconds::ZERO, Seconds::max);
-    let span = makespan.as_secs();
-    let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-    // Time-weighted queue mean: each group's depth integrated over
-    // its own timeline, pooled over total simulated group-time.
-    let depth_area: f64 = groups.iter().map(|g| g.queue.area_until(g.end)).sum();
-    let sim_time: f64 = groups.iter().map(|g| g.end.as_secs()).sum();
-    let max_queue_depth = groups
-        .iter()
-        .map(|g| g.queue.max_depth())
-        .max()
-        .unwrap_or(0);
-    let prefill_steps = groups.iter().map(|g| g.prefill_steps).sum();
-    let decode_steps = groups.iter().map(|g| g.decode_steps).sum();
-    let per_group_requests = groups.iter().map(|g| g.served).collect();
-    let mut queue_depth: Vec<(Seconds, usize)> = groups
-        .into_iter()
-        .flat_map(|g| g.queue.into_samples())
-        .collect();
-    queue_depth.sort_by_key(|&(t, _)| t);
+    let pool = PoolSummary::of(groups.into_iter().map(|g| g.stats));
+    let summary = RequestSummary::of(&outcomes, config.slo, pool.makespan);
     ClusterServingReport {
         design,
         policy,
-        plan,
+        plan: config.plan,
         requests,
         completed: outcomes.len(),
-        makespan,
-        ttft: LatencyStats::of(&ttft),
-        tpot: LatencyStats::of(&tpot),
-        e2e: LatencyStats::of(&e2e),
-        slo,
-        slo_attainment: if outcomes.is_empty() {
-            0.0
-        } else {
-            met as f64 / outcomes.len() as f64
-        },
-        goodput_rps: per_sec(met as f64),
-        throughput_rps: per_sec(outcomes.len() as f64),
-        tokens_per_sec: per_sec(served_tokens as f64),
-        prefill_steps,
-        decode_steps,
-        per_group_requests,
-        mean_queue_depth: if sim_time > 0.0 {
-            depth_area / sim_time
-        } else {
-            0.0
-        },
-        max_queue_depth,
-        queue_depth,
+        makespan: pool.makespan,
+        ttft: summary.ttft,
+        tpot: summary.tpot,
+        e2e: summary.e2e,
+        slo: summary.slo,
+        slo_attainment: summary.slo_attainment,
+        goodput_rps: summary.goodput_rps,
+        throughput_rps: summary.throughput_rps,
+        tokens_per_sec: summary.tokens_per_sec,
+        prefill_steps: pool.prefill_steps,
+        decode_steps: pool.decode_steps,
+        per_group_requests: pool.per_group_requests,
+        mean_queue_depth: pool.mean_queue_depth,
+        max_queue_depth: pool.max_queue_depth,
+        queue_depth: pool.queue_depth,
         sim_events,
         peak_event_queue_len,
         outcomes,

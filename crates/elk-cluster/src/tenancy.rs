@@ -1,7 +1,7 @@
 //! Multi-tenant cluster serving: SLO classes, admission control, and
 //! priority-aware scheduling over the routed replay engine.
 //!
-//! [`TenantServingSim`] wraps the same group/step machinery as
+//! [`TenantServingSim`] runs the same [`elk_serve::Group`] core as
 //! [`ClusterServingSim`](crate::ClusterServingSim) with three tenancy
 //! layers in front of it:
 //!
@@ -35,19 +35,17 @@ use serde::Serialize;
 
 use elk_baselines::Design;
 use elk_hw::SystemConfig;
-use elk_model::{zoo, Phase, TransformerConfig};
+use elk_model::{zoo, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
-    jain_index, next_step, LatencyStats, PlanCache, RequestOutcome, RequestTrace, Router,
-    RouterPolicy, ShedPolicy, StepPlan, TenancyConfig, TenantReport, TokenBucket,
-    MAX_CLASS_PRIORITY,
+    jain_index, record_requests, Group, PlanCache, RequestOutcome, RequestSummary, RequestTrace,
+    Router, RouterPolicy, ShedPolicy, TenancyConfig, TenantReport, TokenBucket, MAX_CLASS_PRIORITY,
 };
 use elk_sim_core::{EventQueue, QueueStat};
 use elk_units::Seconds;
 
 use crate::pricing::StepPricer;
-use crate::serve::PendingStep;
-use crate::serve::{summarize_groups, ClusterServeConfig, ClusterServingReport, Group, InFlight};
+use crate::serve::{summarize_groups, ClusterServeConfig, ClusterServingReport};
 use crate::ClusterError;
 
 /// Priority band for the tenancy engine's step completions: strictly
@@ -238,7 +236,6 @@ impl TenantServingSim {
     ///
     /// [`elk_trace::TraceFile::tenant_assignments`]:
     /// https://docs.rs/elk-trace
-    #[allow(clippy::too_many_lines)]
     pub fn run(
         &mut self,
         design: Design,
@@ -312,7 +309,7 @@ impl TenantServingSim {
             .map(|gs| Router::new(policy, gs.len()))
             .collect();
 
-        let mut groups: Vec<Group> = (0..dp).map(|_| Group::new()).collect();
+        let mut groups: Vec<Group> = (0..dp).map(|_| Group::default()).collect();
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; reqs.len()];
         let mut disposition: Vec<Option<Disposition>> = vec![None; reqs.len()];
 
@@ -339,7 +336,7 @@ impl TenantServingSim {
 
         while let Some(fired) = q.pop() {
             let now = q.now();
-            match fired.event {
+            let admitted = match fired.event {
                 Ev::Arrival(idx) => {
                     let class = &self.tenancy.classes[tenant_class[tix[idx]]];
                     let shed = self.tenancy.shed_queue_depth.and_then(|threshold| {
@@ -351,84 +348,47 @@ impl TenantServingSim {
                     });
                     let admitted_by_bucket =
                         buckets[tix[idx]].as_mut().is_none_or(|b| b.try_take(now));
-                    if !admitted_by_bucket {
-                        disposition[idx] = Some(Disposition::Rejected);
-                    } else {
-                        match shed {
-                            Some(ShedPolicy::Reject) => {
-                                disposition[idx] = Some(Disposition::Rejected);
-                            }
-                            Some(ShedPolicy::Defer) => {
-                                disposition[idx] = Some(Disposition::Deferred);
-                                q.schedule_after(
-                                    Seconds::new(self.tenancy.defer_s),
-                                    req_prio[idx],
-                                    Ev::Deferred(idx),
-                                );
-                            }
-                            None => {
-                                disposition[idx] = Some(Disposition::Admitted);
-                                admit(
-                                    idx,
-                                    now,
-                                    &req_prio,
-                                    &mut routers,
-                                    &model_groups,
-                                    &mut groups,
-                                    &mut total_waiting,
-                                    &mut shed_depth,
-                                    self.class_model[tenant_class[tix[idx]]],
-                                );
-                            }
+                    let d = match shed {
+                        _ if !admitted_by_bucket => Disposition::Rejected,
+                        Some(ShedPolicy::Reject) => Disposition::Rejected,
+                        Some(ShedPolicy::Defer) => {
+                            q.schedule_after(
+                                Seconds::new(self.tenancy.defer_s),
+                                req_prio[idx],
+                                Ev::Deferred(idx),
+                            );
+                            Disposition::Deferred
                         }
-                    }
+                        None => Disposition::Admitted,
+                    };
+                    disposition[idx] = Some(d);
+                    (d == Disposition::Admitted).then_some(idx)
                 }
-                Ev::Deferred(idx) => {
-                    // One-shot backpressure: the re-offer is served
-                    // unconditionally (its disposition stays Deferred).
-                    admit(
-                        idx,
-                        now,
-                        &req_prio,
-                        &mut routers,
-                        &model_groups,
-                        &mut groups,
-                        &mut total_waiting,
-                        &mut shed_depth,
-                        self.class_model[tenant_class[tix[idx]]],
-                    );
-                }
+                // One-shot backpressure: the re-offer is served
+                // unconditionally (its disposition stays Deferred).
+                Ev::Deferred(idx) => Some(idx),
                 Ev::StepDone { gid } => {
-                    let group = &mut groups[gid];
-                    match group.pending.take().expect("StepDone implies a step") {
-                        PendingStep::Prefill { batch } => {
-                            group.prefill_steps += 1;
-                            for idx in batch {
-                                outcomes[idx] = Some(RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica: gid,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                });
-                                if reqs[idx].output_len > 1 {
-                                    group.active.push(InFlight { idx, generated: 1 });
-                                }
-                            }
-                        }
-                        PendingStep::Decode => {
-                            group.decode_steps += 1;
-                            group.active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                a.generated < reqs[a.idx].output_len
-                            });
-                        }
-                    }
-                    group.end = now;
+                    groups[gid].finish_step(gid, now, reqs, &mut outcomes, |_| {});
+                    None
                 }
+            };
+            if let Some(idx) = admitted {
+                // Route to the model's groups (per the policy) and
+                // insert priority-first: before the first strictly-
+                // lower-priority entry (larger number = lower priority),
+                // after every equal-priority one — FIFO inside a class.
+                // With one class this is exactly a push, preserving the
+                // plain engine's order.
+                let model = self.class_model[tenant_class[tix[idx]]];
+                let outstanding: Vec<usize> = model_groups[model]
+                    .iter()
+                    .map(|&g| groups[g].outstanding())
+                    .collect();
+                let gid = model_groups[model][routers[model].route(&outstanding)];
+                let prio = req_prio[idx];
+                groups[gid].enqueue_before(now, idx, |w| req_prio[w] > prio);
+                total_waiting += 1;
+                shed_depth.record(now, total_waiting);
             }
             // Defer dispatch until every event at this instant has
             // fired, then scan groups in index order (deterministic).
@@ -436,61 +396,16 @@ impl TenantServingSim {
                 continue;
             }
             for (gid, group) in groups.iter_mut().enumerate() {
-                if group.pending.is_some() {
-                    continue;
-                }
-                let prompts: Vec<u64> = group
-                    .waiting
-                    .iter()
-                    .take(self.config.batch.max_batch as usize)
-                    .map(|&i| reqs[i].prompt_len)
-                    .collect();
-                let Some(step) = next_step(&self.config.batch, &prompts, group.active.len()) else {
-                    continue;
-                };
-                let pricer = &self.pricers[group_model[gid]];
-                let latency = match step {
-                    StepPlan::Prefill { admit } => {
-                        let batch: Vec<usize> = group.waiting.drain(..admit).collect();
-                        group.queue.record(now, group.waiting.len());
-                        total_waiting -= batch.len();
+                let price = |wl| self.pricers[group_model[gid]].split_step(design, wl);
+                if let Some((latency, admitted)) =
+                    group.start_step(now, &self.config.batch, reqs, price)?
+                {
+                    if admitted > 0 {
+                        total_waiting -= admitted;
                         shed_depth.record(now, total_waiting);
-                        let longest = batch
-                            .iter()
-                            .map(|&i| reqs[i].prompt_len)
-                            .max()
-                            .expect("prefill admits >= 1");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Prefill,
-                            batch.len() as u64,
-                            longest,
-                        );
-                        let latency = pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Prefill { batch });
-                        latency
                     }
-                    StepPlan::Decode => {
-                        let deepest = group
-                            .active
-                            .iter()
-                            .map(|a| reqs[a.idx].prompt_len + a.generated)
-                            .max()
-                            .expect("decode requires >= 1 active");
-                        let wl = self.config.batch.step_workload(
-                            Phase::Decode,
-                            group.active.len() as u64,
-                            deepest,
-                        );
-                        let latency = pricer
-                            .split_step(design, wl)
-                            .map_err(|(stage, source)| ClusterError::Compile { stage, source })?;
-                        group.pending = Some(PendingStep::Decode);
-                        latency
-                    }
-                };
-                q.schedule_after(latency, PRIO_TENANT_STEP_DONE, Ev::StepDone { gid });
+                    q.schedule_after(latency, PRIO_TENANT_STEP_DONE, Ev::StepDone { gid });
+                }
             }
         }
 
@@ -560,24 +475,16 @@ impl TenantServingSim {
                 "request {idx}: disposition and completion must agree"
             );
         }
-        let served_tokens: u64 = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.is_some())
-            .map(|(idx, _)| reqs[idx].output_len)
-            .sum();
         let completed: Vec<RequestOutcome> = outcomes.iter().filter_map(|o| *o).collect();
+        record_requests(&self.obs, "cluster", "group", &completed);
         let base = summarize_groups(
+            &self.config,
             design,
             policy,
-            self.config.plan,
-            self.config.slo,
             trace.len(),
-            served_tokens,
             groups,
             completed,
             sim_events,
-            &self.obs,
         );
 
         let count = |t: usize, want: Disposition| {
@@ -587,23 +494,18 @@ impl TenantServingSim {
                 .filter(|&(idx, &d)| tix[idx] == t && d == Some(want))
                 .count()
         };
-        let span = base.makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
         let tenants: Vec<TenantReport> = tenant_ids
             .iter()
             .enumerate()
             .map(|(t, tenant)| {
                 let class = &self.tenancy.classes[tenant_class[t]];
-                let done: Vec<&RequestOutcome> = outcomes
+                let done: Vec<RequestOutcome> = outcomes
                     .iter()
                     .enumerate()
                     .filter(|&(idx, _)| tix[idx] == t)
-                    .filter_map(|(_, o)| o.as_ref())
+                    .filter_map(|(_, o)| *o)
                     .collect();
-                let ttft: Vec<Seconds> = done.iter().map(|o| o.ttft()).collect();
-                let tpot: Vec<Seconds> = done.iter().filter_map(|o| o.tpot()).collect();
-                let e2e: Vec<Seconds> = done.iter().map(|o| o.e2e()).collect();
-                let met = done.iter().filter(|o| o.meets(&class.slo)).count();
+                let s = RequestSummary::of(&done, class.slo, base.makespan);
                 TenantReport {
                     tenant: tenant.clone(),
                     class: class.name.clone(),
@@ -612,15 +514,11 @@ impl TenantServingSim {
                     rejected: count(t, Disposition::Rejected),
                     deferred: count(t, Disposition::Deferred),
                     completed: done.len(),
-                    slo_attainment: if done.is_empty() {
-                        0.0
-                    } else {
-                        met as f64 / done.len() as f64
-                    },
-                    goodput_rps: per_sec(met as f64),
-                    ttft: LatencyStats::of(&ttft),
-                    tpot: LatencyStats::of(&tpot),
-                    e2e: LatencyStats::of(&e2e),
+                    slo_attainment: s.slo_attainment,
+                    goodput_rps: s.goodput_rps,
+                    ttft: s.ttft,
+                    tpot: s.tpot,
+                    e2e: s.e2e,
                 }
             })
             .collect();
@@ -634,45 +532,6 @@ impl TenantServingSim {
             base,
         }
     }
-}
-
-/// Routes an admitted request to its model's least-loaded group (per
-/// the policy) and inserts it into the waiting queue priority-first,
-/// FIFO within a class.
-#[allow(clippy::too_many_arguments)]
-fn admit(
-    idx: usize,
-    now: Seconds,
-    req_prio: &[u8],
-    routers: &mut [Router],
-    model_groups: &[Vec<usize>],
-    groups: &mut [Group],
-    total_waiting: &mut usize,
-    shed_depth: &mut QueueStat,
-    model: usize,
-) {
-    let outstanding: Vec<usize> = model_groups[model]
-        .iter()
-        .map(|&g| groups[g].outstanding())
-        .collect();
-    let pick = routers[model].route(&outstanding);
-    let gid = model_groups[model][pick];
-    let group = &mut groups[gid];
-    // Priority-stable insertion: before the first strictly-lower-
-    // priority entry (larger number = lower priority), after every
-    // equal-priority one — FIFO inside a class. With one class this is
-    // exactly a push, preserving the plain engine's order.
-    let prio = req_prio[idx];
-    let pos = group
-        .waiting
-        .iter()
-        .position(|&w| req_prio[w] > prio)
-        .unwrap_or(group.waiting.len());
-    group.waiting.insert(pos, idx);
-    group.served += 1;
-    group.queue.record(now, group.waiting.len());
-    *total_waiting += 1;
-    shed_depth.record(now, *total_waiting);
 }
 
 #[cfg(test)]

@@ -11,20 +11,21 @@
 
 use std::sync::Arc;
 
+use crate::batcher::BatchConfig;
+use crate::cache::PlanCache;
+use crate::group::{
+    infeasible, record_requests, split_latency, Group, GroupStats, PoolSummary, RequestSummary,
+};
+use crate::metrics::{RequestOutcome, SloConfig};
+use crate::report::ServingReport;
+use crate::trace::RequestTrace;
 use elk_baselines::{Design, DesignRunner};
 use elk_core::CompileError;
 use elk_hw::SystemConfig;
-use elk_model::{Phase, TransformerConfig};
+use elk_model::TransformerConfig;
 use elk_obs::{MemRecorder, Obs, ObsBuf};
 use elk_sim::SimOptions;
-use elk_sim_core::{EventQueue, QueueStat, PRIO_ARRIVAL, PRIO_STEP_DONE};
-use elk_units::Seconds;
-
-use crate::batcher::{next_step, BatchConfig, StepPlan};
-use crate::cache::PlanCache;
-use crate::metrics::{LatencyStats, RequestOutcome, SloConfig};
-use crate::report::ServingReport;
-use crate::trace::RequestTrace;
+use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
 
 /// Everything a serving run is parameterized by (except the design,
 /// which is per-run so designs can share one engine and cache).
@@ -101,14 +102,6 @@ pub struct ServingSim {
     obs: Obs,
 }
 
-/// Per-request progress while in flight.
-struct InFlight {
-    /// Index into the trace's request vector.
-    idx: usize,
-    /// Tokens generated so far (1 after prefill).
-    generated: u64,
-}
-
 /// Typed events on a replica's simulation timeline.
 enum Ev {
     /// The request at this trace index joins the waiting queue.
@@ -117,31 +110,13 @@ enum Ev {
     StepDone,
 }
 
-/// What the in-flight step will do when its [`Ev::StepDone`] fires.
-enum PendingStep {
-    /// Prefill of these trace indices; each emits its first token at
-    /// completion.
-    Prefill {
-        /// Trace indices admitted into the step.
-        batch: Vec<usize>,
-    },
-    /// One decode iteration over the whole active set.
-    Decode,
-}
-
 /// One replica's event-loop output, merged deterministically by
 /// [`ServingSim::run`].
 struct ReplicaRun {
     /// `(trace index, outcome)` for every request this replica served.
     outcomes: Vec<(usize, RequestOutcome)>,
-    /// Waiting-queue depth trace (transitions + time-weighted area).
-    queue: QueueStat,
-    /// Prefill steps executed.
-    prefill_steps: u64,
-    /// Decode steps executed.
-    decode_steps: u64,
-    /// The replica's final clock.
-    end: Seconds,
+    /// The replica's pooled counters.
+    stats: GroupStats,
     /// Kernel events fired by this replica's timeline.
     events: u64,
     /// Peak future-event heap size on this replica's kernel.
@@ -233,32 +208,16 @@ impl ServingSim {
         // Deterministic merge in replica order (the same order the
         // sequential loop produced).
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut queue_depth: Vec<(Seconds, usize)> = Vec::new();
-        let mut prefill_steps = 0u64;
-        let mut decode_steps = 0u64;
-        let mut makespan = Seconds::ZERO;
+        let mut stats = Vec::with_capacity(runs.len());
         let mut sim_events = 0u64;
-        // The fleet-wide mean queue depth is the total depth-time area
-        // over the total simulated replica-time: each replica's depth
-        // is integrated over its own timeline, so a 5 ms decode step
-        // and a 900 ms prefill stall weigh by their durations.
-        let mut depth_area = 0.0;
-        let mut sim_time = 0.0;
-        let mut max_q = 0usize;
-        let mut peak_q = 0usize;
+        let mut peak_event_queue_len = 0usize;
         for run in runs {
             for (idx, outcome) in run.outcomes {
                 outcomes[idx] = Some(outcome);
             }
-            prefill_steps += run.prefill_steps;
-            decode_steps += run.decode_steps;
-            makespan = makespan.max(run.end);
+            stats.push(run.stats);
             sim_events += run.events;
-            peak_q = peak_q.max(run.peak);
-            depth_area += run.queue.area_until(run.end);
-            sim_time += run.end.as_secs();
-            max_q = max_q.max(run.queue.max_depth());
-            queue_depth.extend(run.queue.into_samples());
+            peak_event_queue_len = peak_event_queue_len.max(run.peak);
             // Replica buffers fold in replica index order — the same
             // order the sequential loop records in.
             if let Some(buf) = run.obs {
@@ -278,37 +237,46 @@ impl ServingSim {
             );
         }
 
-        queue_depth.sort_by_key(|&(t, _)| t);
-        let mean_q = if sim_time > 0.0 {
-            depth_area / sim_time
-        } else {
-            0.0
-        };
         let outcomes: Vec<RequestOutcome> = outcomes
             .into_iter()
             .map(|o| o.expect("every request completes"))
             .collect();
-        Ok(self.summarize(
+        record_requests(&self.obs, "serve", "replica", &outcomes);
+        let pool = PoolSummary::of(stats);
+        let summary = RequestSummary::of(&outcomes, self.config.slo, pool.makespan);
+        Ok(ServingReport {
             design,
-            trace,
+            replicas: self.config.replicas,
+            requests: trace.len(),
+            completed: outcomes.len(),
+            makespan: pool.makespan,
+            ttft: summary.ttft,
+            tpot: summary.tpot,
+            e2e: summary.e2e,
+            slo: summary.slo,
+            slo_attainment: summary.slo_attainment,
+            goodput_rps: summary.goodput_rps,
+            throughput_rps: summary.throughput_rps,
+            tokens_per_sec: summary.tokens_per_sec,
+            prefill_steps: pool.prefill_steps,
+            decode_steps: pool.decode_steps,
+            mean_queue_depth: pool.mean_queue_depth,
+            max_queue_depth: pool.max_queue_depth,
+            queue_depth: pool.queue_depth,
+            sim_events,
+            peak_event_queue_len,
+            cache: self.cache.stats().since(stats_before),
             outcomes,
-            queue_depth,
-            (mean_q, max_q),
-            (prefill_steps, decode_steps),
-            makespan,
-            (sim_events, peak_q),
-            self.cache.stats().since(stats_before),
-        ))
+        })
     }
 
     /// Runs one replica as an event source on the simulation kernel.
     ///
     /// Arrivals fire at class [`PRIO_ARRIVAL`] and step completions at
     /// [`PRIO_STEP_DONE`], so a step finishing at the same instant a
-    /// request arrives observes that arrival in its scheduling decision
-    /// — the same "admit everything arrived by now" semantics the old
-    /// hand-rolled loop had. Scheduling decisions are deferred until
-    /// every event at the current instant has fired.
+    /// request arrives observes that arrival in its scheduling
+    /// decision. Scheduling decisions are deferred until every event at
+    /// the current instant has fired.
     fn run_replica(
         &self,
         design: Design,
@@ -320,13 +288,7 @@ impl ServingSim {
             .collect();
         let reqs = &trace.requests;
         let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut queue = QueueStat::new();
-        let mut prefill_steps = 0u64;
-        let mut decode_steps = 0u64;
-        let mut waiting: Vec<usize> = Vec::new(); // FIFO, trace indices
-        let mut active: Vec<InFlight> = Vec::new();
-        let mut pending: Option<PendingStep> = None;
-        let mut end = Seconds::ZERO;
+        let mut group = Group::default();
 
         // A replica-local recorder: worker threads never write to the
         // shared sink directly, so the merged stream only depends on
@@ -347,240 +309,46 @@ impl ServingSim {
         while let Some(fired) = q.pop() {
             let now = q.now();
             match fired.event {
-                Ev::Arrival(idx) => {
-                    waiting.push(idx);
-                    queue.record(now, waiting.len());
-                }
-                Ev::StepDone => {
-                    match pending.take().expect("StepDone implies an in-flight step") {
-                        PendingStep::Prefill { batch } => {
-                            prefill_steps += 1;
-                            for idx in batch {
-                                // The prefill step emits each request's
-                                // first token.
-                                let outcome = RequestOutcome {
-                                    id: reqs[idx].id,
-                                    replica,
-                                    arrival: reqs[idx].arrival,
-                                    first_token: now,
-                                    completion: now,
-                                    output_len: reqs[idx].output_len,
-                                };
-                                outcomes[idx] = Some(outcome);
-                                if reqs[idx].output_len > 1 {
-                                    active.push(InFlight { idx, generated: 1 });
-                                }
-                            }
-                        }
-                        PendingStep::Decode => {
-                            decode_steps += 1;
-                            active.retain_mut(|a| {
-                                a.generated += 1;
-                                let outcome = outcomes[a.idx].as_mut().expect("prefilled");
-                                outcome.completion = now;
-                                a.generated < reqs[a.idx].output_len
-                            });
-                        }
-                    }
-                    end = now;
-                }
+                Ev::Arrival(idx) => group.enqueue(now, idx),
+                Ev::StepDone => group.finish_step(replica, now, reqs, &mut outcomes, |_| {}),
             }
             // Defer the scheduling decision until everything at this
             // instant has fired (all simultaneous arrivals admitted,
-            // the step completion applied).
-            if q.peek_time() == Some(now) || pending.is_some() {
+            // the step completion applied). With no step to run the
+            // clock next moves at the following arrival event.
+            if q.peek_time() == Some(now) {
                 continue;
             }
-            // next_step never admits more than max_batch requests, so a
-            // deep waiting queue need not be materialized in full.
-            let prompts: Vec<u64> = waiting
-                .iter()
-                .take(self.config.batch.max_batch as usize)
-                .map(|&i| reqs[i].prompt_len)
-                .collect();
-            // No step to run (all-idle): the clock next moves at the
-            // following arrival event — the old loop's idle-jump.
-            let Some(step) = next_step(&self.config.batch, &prompts, active.len()) else {
-                continue;
+            let price = |wl| {
+                split_latency(
+                    wl,
+                    &|wl| {
+                        self.cache.step_latency(
+                            &self.runner,
+                            &self.config.model,
+                            self.config.shards,
+                            design,
+                            wl,
+                            &self.config.sim,
+                        )
+                    },
+                    infeasible,
+                )
             };
-            let latency = match step {
-                StepPlan::Prefill { admit } => {
-                    let batch: Vec<usize> = waiting.drain(..admit).collect();
-                    queue.record(now, waiting.len());
-                    let longest = batch
-                        .iter()
-                        .map(|&i| reqs[i].prompt_len)
-                        .max()
-                        .expect("prefill admits >= 1");
-                    let wl = self.config.batch.step_workload(
-                        Phase::Prefill,
-                        batch.len() as u64,
-                        longest,
-                    );
-                    let latency = self.split_latency(design, wl)?;
-                    pending = Some(PendingStep::Prefill { batch });
-                    latency
-                }
-                StepPlan::Decode => {
-                    let deepest = active
-                        .iter()
-                        .map(|a| reqs[a.idx].prompt_len + a.generated)
-                        .max()
-                        .expect("decode requires >= 1 active");
-                    let wl = self.config.batch.step_workload(
-                        Phase::Decode,
-                        active.len() as u64,
-                        deepest,
-                    );
-                    let latency = self.split_latency(design, wl)?;
-                    pending = Some(PendingStep::Decode);
-                    latency
-                }
-            };
-            q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone);
+            if let Some((latency, _)) = group.start_step(now, &self.config.batch, reqs, price)? {
+                q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone);
+            }
         }
         Ok(ReplicaRun {
             outcomes: assigned
                 .iter()
                 .map(|&i| (i, outcomes[i].take().expect("assigned request completed")))
                 .collect(),
-            queue,
-            prefill_steps,
-            decode_steps,
-            end,
+            stats: group.stats,
             events: q.events_processed(),
             peak: q.peak_len(),
             obs: rec.map(|r| r.take_buf()),
         })
-    }
-
-    /// Latency of one `wl` step, falling back to sequential micro-batches
-    /// when the full batch shape has no feasible on-chip plan (prefill
-    /// attention is quadratic in sequence length, so long-context steps
-    /// can exceed SRAM at batch sizes the decode path handles fine).
-    /// Splitting halves the batch until the shape compiles; a batch-1
-    /// failure is a genuine error — the request cannot run on this chip.
-    fn split_latency(
-        &self,
-        design: Design,
-        wl: elk_model::Workload,
-    ) -> Result<Seconds, CompileError> {
-        match self.cache.step_latency(
-            &self.runner,
-            &self.config.model,
-            self.config.shards,
-            design,
-            wl,
-            &self.config.sim,
-        ) {
-            Ok(t) => Ok(t),
-            Err(CompileError::NoFeasiblePlan { .. } | CompileError::CapacityExceeded { .. })
-                if wl.batch > 1 =>
-            {
-                let lo = elk_model::Workload {
-                    batch: wl.batch / 2,
-                    ..wl
-                };
-                let hi = elk_model::Workload {
-                    batch: wl.batch - wl.batch / 2,
-                    ..wl
-                };
-                let a = self.split_latency(design, lo)?;
-                let b = if hi.batch == lo.batch {
-                    a
-                } else {
-                    self.split_latency(design, hi)?
-                };
-                Ok(a + b)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Folds per-request outcomes into the aggregate report.
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        design: Design,
-        trace: &RequestTrace,
-        outcomes: Vec<RequestOutcome>,
-        queue_depth: Vec<(Seconds, usize)>,
-        (mean_q, max_q): (f64, usize),
-        (prefill_steps, decode_steps): (u64, u64),
-        makespan: Seconds,
-        (sim_events, peak_event_queue_len): (u64, usize),
-        cache: crate::cache::CacheStats,
-    ) -> ServingReport {
-        if self.obs.enabled() {
-            // Request lanes and latency histograms are derived from the
-            // merged outcomes (trace order), not from replica event
-            // loops, so they are deterministic by construction.
-            for (i, o) in outcomes.iter().enumerate() {
-                self.obs.histogram("serve.ttft", o.ttft());
-                if let Some(t) = o.tpot() {
-                    self.obs.histogram("serve.tpot", t);
-                }
-                self.obs.histogram("serve.e2e", o.e2e());
-                if !self.obs.sampled(i) {
-                    continue;
-                }
-                let track = format!("req/{}", o.id);
-                let args = [("replica", o.replica.to_string())];
-                self.obs.span(
-                    &track,
-                    "prefill",
-                    o.arrival,
-                    o.first_token - o.arrival,
-                    &args,
-                );
-                if o.completion > o.first_token {
-                    self.obs.span(
-                        &track,
-                        "decode",
-                        o.first_token,
-                        o.completion - o.first_token,
-                        &args,
-                    );
-                }
-            }
-        }
-        let ttft: Vec<Seconds> = outcomes.iter().map(RequestOutcome::ttft).collect();
-        let tpot: Vec<Seconds> = outcomes.iter().filter_map(RequestOutcome::tpot).collect();
-        let e2e: Vec<Seconds> = outcomes.iter().map(RequestOutcome::e2e).collect();
-        let met = outcomes
-            .iter()
-            .filter(|o| o.meets(&self.config.slo))
-            .count();
-        let span = makespan.as_secs();
-        let per_sec = |x: f64| if span > 0.0 { x / span } else { 0.0 };
-        ServingReport {
-            design,
-            replicas: self.config.replicas,
-            requests: trace.len(),
-            completed: outcomes.len(),
-            makespan,
-            ttft: LatencyStats::of(&ttft),
-            tpot: LatencyStats::of(&tpot),
-            e2e: LatencyStats::of(&e2e),
-            slo: self.config.slo,
-            slo_attainment: if outcomes.is_empty() {
-                0.0
-            } else {
-                met as f64 / outcomes.len() as f64
-            },
-            goodput_rps: per_sec(met as f64),
-            throughput_rps: per_sec(outcomes.len() as f64),
-            tokens_per_sec: per_sec(trace.total_output_tokens() as f64),
-            prefill_steps,
-            decode_steps,
-            mean_queue_depth: mean_q,
-            max_queue_depth: max_q,
-            queue_depth,
-            sim_events,
-            peak_event_queue_len,
-            cache,
-            outcomes,
-        }
     }
 }
 
@@ -590,6 +358,7 @@ mod tests {
     use crate::trace::{ArrivalProcess, LengthDist, TraceConfig};
     use elk_hw::presets;
     use elk_model::{zoo, SeqBuckets};
+    use elk_units::Seconds;
 
     fn tiny_config() -> ServeConfig {
         let mut model = zoo::llama2_13b();

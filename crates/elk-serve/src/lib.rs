@@ -26,6 +26,10 @@
 //!                                             queue depth
 //! ```
 //!
+//! The batcher, step pricing and metrics meet in the group core
+//! ([`Group`], [`PoolSummary`], [`RequestSummary`], [`record_requests`]).
+//! [`ServingSim`] and the `elk-cluster` engines all run on it.
+//!
 //! ## Knobs
 //!
 //! | knob | where | meaning |
@@ -77,6 +81,7 @@
 mod batcher;
 mod cache;
 mod engine;
+mod group;
 mod metrics;
 mod report;
 mod router;
@@ -86,6 +91,10 @@ mod trace;
 pub use batcher::{next_step, BatchConfig, StepPlan};
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use engine::{ServeConfig, ServingSim};
+pub use group::{
+    finish_decode, infeasible, record_requests, record_requests_with, split_latency, Group,
+    GroupStats, InFlight, PoolSummary, RequestSummary,
+};
 pub use metrics::{percentile, LatencyStats, RequestOutcome, SloConfig};
 pub use report::ServingReport;
 pub use router::{Router, RouterPolicy};

@@ -292,3 +292,70 @@ fn router_scenario_serves_every_request_under_every_policy() {
         "routed serving must be byte-identical at any thread count"
     );
 }
+
+/// The flat-pool differential: `ServingSim` with one replica sharded
+/// over the whole pod and `ClusterServingSim` with `tp` = pod chips,
+/// `pp = dp = 1`, round-robin, replay the golden trace identically for
+/// every design — outcomes, latency summaries, step counts, queue
+/// statistics, and kernel event counts. Below `tp` = chips the two
+/// engines diverge (the cluster engine prices on a `tp`-chip subpod,
+/// `ServingSim` on the whole pod), so the check stays at the full-pod
+/// layout.
+#[test]
+fn serving_sim_matches_the_cluster_engine_at_full_pod_tp() {
+    use elk::cluster::{ClusterServeConfig, ClusterServingSim};
+    use elk::serve::RouterPolicy;
+
+    let text = std::fs::read_to_string(format!(
+        "{}/traces/golden_small.jsonl",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("golden trace exists");
+    let trace = TraceFile::parse(&text)
+        .expect("golden trace parses")
+        .to_request_trace();
+
+    let pod = presets::ipu_pod4();
+    let mut model = zoo::llama2_13b();
+    model.layers = 2;
+    let batch = BatchConfig {
+        max_batch: 8,
+        max_prefill_tokens: 2048,
+        seq_buckets: SeqBuckets::new(256, 2048),
+        bucket_batch: true,
+    };
+    let mut flat = ServingSim::new(
+        pod.clone(),
+        ServeConfig {
+            batch,
+            ..ServeConfig::new(model.clone(), pod.chips)
+        },
+    );
+    let mut cluster = ClusterServingSim::new(
+        pod.clone(),
+        ClusterServeConfig {
+            batch,
+            ..ClusterServeConfig::new(model, ParallelismPlan::new(pod.chips, 1, 1))
+        },
+    )
+    .expect("full-pod tp plan fits");
+
+    for design in Design::ALL {
+        let s = flat.run(design, &trace).expect("flat pool serves");
+        let c = cluster
+            .run(design, RouterPolicy::RoundRobin, &trace)
+            .expect("cluster serves");
+        assert_eq!(s.completed, trace.len(), "{design}");
+        assert_eq!(s.outcomes, c.outcomes, "{design}: outcomes");
+        assert_eq!(s.ttft, c.ttft, "{design}: TTFT stats");
+        assert_eq!(s.tpot, c.tpot, "{design}: TPOT stats");
+        assert_eq!(s.e2e, c.e2e, "{design}: e2e stats");
+        assert_eq!(s.prefill_steps, c.prefill_steps, "{design}");
+        assert_eq!(s.decode_steps, c.decode_steps, "{design}");
+        assert_eq!(s.mean_queue_depth, c.mean_queue_depth, "{design}");
+        assert_eq!(s.max_queue_depth, c.max_queue_depth, "{design}");
+        assert_eq!(s.queue_depth, c.queue_depth, "{design}");
+        assert_eq!(s.sim_events, c.sim_events, "{design}");
+        assert_eq!(s.peak_event_queue_len, c.peak_event_queue_len, "{design}");
+    }
+}

@@ -135,8 +135,10 @@ fn event_names(events: &[Value]) -> Vec<String> {
 }
 
 /// One timeline check: export at `--threads 1` and `8`, demand byte
-/// identity, then structural coverage of all three instrumented layers.
-fn check_scenario(command: &str, file: &str, kernel_track: &str, tag: &str) {
+/// identity, then structural coverage of all three instrumented layers:
+/// compile lanes, the engine's own tracks (`engine_tracks`, by prefix:
+/// its kernel track and any engine-specific ones), and request lanes.
+fn check_scenario(command: &str, file: &str, engine_tracks: &[&str], tag: &str) {
     let out = fresh_dir(tag);
     let scenario_file = scenario(file);
     let t1 = export_timeline(command, &scenario_file, 1, &out);
@@ -160,7 +162,9 @@ fn check_scenario(command: &str, file: &str, kernel_track: &str, tag: &str) {
         has("compile/"),
         "{file}: compile-pipeline lanes: {tracks:?}"
     );
-    assert!(has(kernel_track), "{file}: kernel track: {tracks:?}");
+    for track in engine_tracks {
+        assert!(has(track), "{file}: `{track}` track: {tracks:?}");
+    }
     assert!(has("req/"), "{file}: per-request lanes: {tracks:?}");
 
     let names = event_names(events);
@@ -194,7 +198,7 @@ fn check_scenario(command: &str, file: &str, kernel_track: &str, tag: &str) {
 fn serve_timeline_is_deterministic_and_spans_all_layers() {
     // serving_burst replays a bursty flat-pool trace: kernel events
     // land on per-replica tracks.
-    check_scenario("serve", "serving_burst.json", "serve/replica", "serve");
+    check_scenario("serve", "serving_burst.json", &["serve/replica"], "serve");
 }
 
 #[test]
@@ -204,9 +208,28 @@ fn cluster_timeline_is_deterministic_and_spans_all_layers() {
     check_scenario(
         "cluster",
         "tenants_overload.json",
-        "tenancy/kernel",
+        &["tenancy/kernel"],
         "cluster",
     );
+}
+
+#[test]
+fn autoscale_timeline_is_deterministic_and_spans_all_layers() {
+    // autoscale_burst drives the elastic fleet: scale transitions land
+    // on the `fleet` track next to the engine's kernel track.
+    check_scenario(
+        "cluster",
+        "autoscale_burst.json",
+        &["autoscale/kernel", "fleet"],
+        "autoscale",
+    );
+}
+
+#[test]
+fn disagg_timeline_is_deterministic_and_spans_all_layers() {
+    // disagg_chat runs the two-pool engine: prefill, handoff and decode
+    // legs share each request's lane.
+    check_scenario("cluster", "disagg_chat.json", &["disagg/kernel"], "disagg");
 }
 
 #[test]
