@@ -15,6 +15,7 @@ use elk_model::{ModelGraph, TransformerConfig, Workload};
 use elk_serve::{ArrivalProcess, BatchConfig, LengthDist, ServeConfig, SloConfig, TraceConfig};
 use elk_sim::SimOptions;
 use elk_units::{ByteRate, Bytes, FlopRate, Seconds};
+use serde::{Serialize, Value};
 
 use elk_trace::{LengthModel, RateShape, TraceGenConfig};
 
@@ -152,7 +153,9 @@ impl TopologySpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for non-positive bandwidths.
+    /// Returns [`SpecError::Invalid`] for non-positive bandwidths and
+    /// for a mesh of fewer than two cores (it has no links to spread
+    /// the bandwidth over).
     pub fn to_topology(&self, cores: u64) -> Result<Topology, SpecError> {
         match self {
             TopologySpec::AllToAll { core_link_gib_s } => Ok(Topology::AllToAll {
@@ -161,6 +164,9 @@ impl TopologySpec {
                     *core_link_gib_s,
                 )?),
             }),
+            TopologySpec::Mesh { .. } if cores < 2 => Err(invalid(format!(
+                "topology.mesh needs at least 2 cores, got {cores}"
+            ))),
             TopologySpec::Mesh { total_gib_s } => Ok(Topology::mesh_with_total(
                 ByteRate::gib_per_sec(positive("topology.mesh.total_gib_s", *total_gib_s)?),
                 cores,
@@ -213,8 +219,33 @@ impl ResolvedModel {
         }
     }
 
+    /// Checks that `shards` tensor-parallel shards divide every
+    /// dimension [`build`](Self::build) splits across them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError::Invalid`] naming the first dimension that
+    /// does not divide.
+    pub fn check_shards(&self, shards: u64) -> Result<(), SpecError> {
+        match self {
+            ResolvedModel::Llm(cfg) => check_transformer_shards(cfg, shards),
+            ResolvedModel::Moe(cfg) => divides(
+                &[
+                    ("heads", cfg.heads),
+                    ("expert_intermediate", cfg.expert_intermediate),
+                ],
+                shards,
+            ),
+            ResolvedModel::Dit(cfg) => divides(&[("heads", cfg.heads)], shards),
+        }
+    }
+
     /// Builds the operator graph for one `workload` step on `shards`
     /// tensor-parallel shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`check_shards`](Self::check_shards) would fail.
     #[must_use]
     pub fn build(&self, workload: Workload, shards: u64) -> ModelGraph {
         match self {
@@ -225,6 +256,36 @@ impl ResolvedModel {
     }
 }
 
+/// Rejects the first zero dimension of an explicit `family` body: every
+/// integer field of the engine configs is a dimension.
+fn nonzero(family: &str, cfg: &impl Serialize) -> Result<(), SpecError> {
+    let Value::Map(fields) = cfg.to_value() else {
+        unreachable!("model configs serialize as objects")
+    };
+    match fields.iter().find(|(_, v)| *v == Value::U64(0)) {
+        Some((dim, _)) => Err(invalid(format!("model.{family}.{dim} must be > 0"))),
+        None => Ok(()),
+    }
+}
+
+/// Rejects the first of `dims` that `shards` does not divide.
+fn divides(dims: &[(&str, u64)], shards: u64) -> Result<(), SpecError> {
+    match dims.iter().find(|(_, n)| !n.is_multiple_of(shards)) {
+        Some((dim, n)) => Err(invalid(format!(
+            "{shards} tensor-parallel shards do not divide the model's {dim} ({n})"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// [`ResolvedModel::check_shards`] for a dense transformer.
+fn check_transformer_shards(cfg: &TransformerConfig, shards: u64) -> Result<(), SpecError> {
+    divides(
+        &[("heads", cfg.heads), ("intermediate", cfg.intermediate)],
+        shards,
+    )
+}
+
 impl ModelSpec {
     /// Resolves zoo names and applies the optional layer override.
     ///
@@ -233,7 +294,7 @@ impl ModelSpec {
     /// Returns [`SpecError::Invalid`] for an unknown zoo alias, a zero
     /// layer override, or zero dimensions in an explicit config.
     pub fn resolve(&self) -> Result<ResolvedModel, SpecError> {
-        let model = match self {
+        Ok(match self {
             ModelSpec::Zoo { zoo, layers } => {
                 let mut model = match zoo.as_str() {
                     "mixtral" => ResolvedModel::Moe(elk_model::zoo::mixtral_8x7b()),
@@ -255,19 +316,19 @@ impl ModelSpec {
                 }
                 model
             }
-            ModelSpec::Transformer(cfg) => ResolvedModel::Llm(cfg.clone()),
-            ModelSpec::Moe(cfg) => ResolvedModel::Moe(cfg.clone()),
-            ModelSpec::Dit(cfg) => ResolvedModel::Dit(cfg.clone()),
-        };
-        let layers = match &model {
-            ResolvedModel::Llm(cfg) => cfg.layers,
-            ResolvedModel::Moe(cfg) => cfg.layers,
-            ResolvedModel::Dit(cfg) => cfg.layers,
-        };
-        if layers == 0 {
-            return Err(invalid("model: layer count must be > 0"));
-        }
-        Ok(model)
+            ModelSpec::Transformer(cfg) => {
+                nonzero("transformer", cfg)?;
+                ResolvedModel::Llm(cfg.clone())
+            }
+            ModelSpec::Moe(cfg) => {
+                nonzero("moe", cfg)?;
+                ResolvedModel::Moe(cfg.clone())
+            }
+            ModelSpec::Dit(cfg) => {
+                nonzero("dit", cfg)?;
+                ResolvedModel::Dit(cfg.clone())
+            }
+        })
     }
 
     /// The dense-transformer config, if this model is servable by
@@ -625,15 +686,17 @@ impl ServingSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] for zero caps/replicas or an
-    /// ill-formed bucket ladder (the conditions [`ServeConfig`]'s
-    /// constructors would panic on).
+    /// Returns [`SpecError::Invalid`] for zero caps/replicas, an
+    /// ill-formed bucket ladder, or a shard count that does not divide
+    /// the model (the conditions [`ServeConfig`]'s constructors and the
+    /// graph builder would panic on).
     pub fn to_config(
         &self,
         model: TransformerConfig,
         shards: u64,
         sim: SimOptions,
     ) -> Result<ServeConfig, SpecError> {
+        check_transformer_shards(&model, shards)?;
         if self.replicas == 0 {
             return Err(invalid("serving.replicas must be > 0"));
         }
@@ -833,5 +896,73 @@ mod tests {
         };
         let e = spec.to_config().unwrap_err().to_string();
         assert!(e.contains("burst_factor"), "{e}");
+    }
+
+    #[test]
+    fn a_one_core_mesh_is_an_error_not_a_panic() {
+        let e = TopologySpec::Mesh { total_gib_s: 64.0 }
+            .to_topology(1)
+            .unwrap_err();
+        assert!(matches!(e, SpecError::Invalid(_)), "{e}");
+        assert!(e.to_string().contains("at least 2 cores, got 1"), "{e}");
+        assert!(TopologySpec::Mesh { total_gib_s: 64.0 }
+            .to_topology(2)
+            .is_ok());
+    }
+
+    #[test]
+    fn zero_dimensions_of_explicit_models_are_rejected_by_name() {
+        let mut llm = elk_model::zoo::llama2_13b();
+        llm.heads = 0;
+        let mut moe = elk_model::zoo::mixtral_8x7b();
+        moe.experts_per_token = 0;
+        let mut dit = elk_model::zoo::dit_xl();
+        dit.tokens = 0;
+        for (spec, field) in [
+            (ModelSpec::Transformer(llm), "model.transformer.heads"),
+            (ModelSpec::Moe(moe), "model.moe.experts_per_token"),
+            (ModelSpec::Dit(dit), "model.dit.tokens"),
+        ] {
+            let e = spec.resolve().unwrap_err();
+            assert!(matches!(e, SpecError::Invalid(_)), "{e}");
+            assert!(
+                e.to_string().contains(&format!("{field} must be > 0")),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn shards_that_do_not_divide_the_model_are_rejected_by_dimension() {
+        let zoo = |name: &str| {
+            ModelSpec::Zoo {
+                zoo: name.into(),
+                layers: Some(2),
+            }
+            .resolve()
+            .unwrap()
+        };
+        for (model, dim) in [
+            (zoo("llama13"), "heads (40)"),
+            (zoo("mixtral"), "heads (32)"),
+            (zoo("dit"), "heads (16)"),
+        ] {
+            let e = model.check_shards(3).unwrap_err();
+            assert!(matches!(e, SpecError::Invalid(_)), "{e}");
+            let msg = e.to_string();
+            assert!(
+                msg.contains("3 tensor-parallel shards") && msg.contains(dim),
+                "{msg}"
+            );
+            model
+                .check_shards(4)
+                .expect("4 shards divide every zoo model");
+        }
+
+        // The serving path checks its shard count too.
+        let e = ServingSpec::default()
+            .to_config(elk_model::zoo::llama2_13b(), 3, SimOptions::default())
+            .unwrap_err();
+        assert!(e.to_string().contains("heads (40)"), "{e}");
     }
 }

@@ -1,13 +1,13 @@
 //! Strict, default-aware field reading over the vendored serde
-//! [`Value`] tree.
+//! [`Value`] tree, for the few spec sections whose JSON shape the
+//! derive cannot express (an untagged choice between key sets, or a
+//! default computed from another field).
 //!
-//! The derive-generated `Deserialize` impls in the serde shim require
-//! every field to be present and silently ignore unknown keys — the
-//! wrong trade-off for hand-authored scenario files, where most fields
-//! should default and a typo should be an error. [`MapReader`] inverts
-//! both: fields read through [`MapReader::or`] fall back to a default
-//! when absent, and [`MapReader::finish`] rejects any key the reader
-//! never consumed.
+//! [`MapReader`] gives those hand-written impls what
+//! `#[serde(deny_unknown_fields)]` and `#[serde(default)]` give derived
+//! ones: fields read through [`MapReader::or`] fall back to a default
+//! when absent, [`MapReader::finish`] rejects any key the reader never
+//! consumed, and errors carry the same dotted key paths.
 
 use serde::{Deserialize, Error, Value};
 
@@ -30,7 +30,7 @@ impl<'a> MapReader<'a> {
             Value::Map(entries) => {
                 for (i, (k, _)) in entries.iter().enumerate() {
                     if entries[..i].iter().any(|(prev, _)| prev == k) {
-                        return Err(Error::msg(format!("{ty}: duplicate key `{k}`")));
+                        return Err(Error::at(ty, format!("duplicate key `{k}`")));
                     }
                 }
                 Ok(MapReader {
@@ -39,10 +39,10 @@ impl<'a> MapReader<'a> {
                     taken: vec![false; entries.len()],
                 })
             }
-            other => Err(Error::msg(format!(
-                "{ty}: expected a JSON object, found {}",
-                other.kind()
-            ))),
+            other => Err(Error::at(
+                ty,
+                format!("expected a JSON object, found {}", other.kind()),
+            )),
         }
     }
 
@@ -62,8 +62,8 @@ impl<'a> MapReader<'a> {
     pub fn req<T: Deserialize>(&mut self, key: &str) -> Result<T, Error> {
         let ty = self.ty;
         match self.raw(key) {
-            Some(v) => T::from_value(v).map_err(|e| Error::msg(format!("{ty}.{key}: {e}"))),
-            None => Err(Error::msg(format!("{ty}: missing required field `{key}`"))),
+            Some(v) => T::from_value(v).map_err(|e| e.in_field(ty, key)),
+            None => Err(Error::at(ty, format!("missing required field `{key}`"))),
         }
     }
 
@@ -72,9 +72,7 @@ impl<'a> MapReader<'a> {
         let ty = self.ty;
         match self.raw(key) {
             None | Some(Value::Null) => Ok(None),
-            Some(v) => T::from_value(v)
-                .map(Some)
-                .map_err(|e| Error::msg(format!("{ty}.{key}: {e}"))),
+            Some(v) => T::from_value(v).map(Some).map_err(|e| e.in_field(ty, key)),
         }
     }
 
@@ -104,11 +102,10 @@ impl<'a> MapReader<'a> {
         if unknown.is_empty() {
             Ok(())
         } else {
-            Err(Error::msg(format!(
-                "{}: unknown field(s) `{}`",
+            Err(Error::at(
                 self.ty,
-                unknown.join("`, `")
-            )))
+                format!("unknown field(s) `{}`", unknown.join("`, `")),
+            ))
         }
     }
 }

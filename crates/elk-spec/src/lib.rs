@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod de;
-mod schema;
 
 pub mod convert;
 pub mod report;

@@ -93,6 +93,7 @@ pub fn run_compile_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<CompileRep
     let model = spec.model.resolve()?;
     let workload = spec.workload.to_workload()?;
     let shards = spec.workload.shards_for(&system)?;
+    model.check_shards(shards)?;
     let sim = spec.sim.to_options()?;
     let graph = model.build(workload, shards);
 

@@ -5,14 +5,15 @@
 //! struct: each axis names a dotted path (`"workload.batch"`,
 //! `"system.chip.cores"`, `"compiler.design"`), and every grid point
 //! clones the document, substitutes one value per axis, and re-parses.
-//! Strict parsing then rejects typo'd paths that landed on unknown
-//! keys, and any spec field — including ones the base file left to
-//! defaults — is sweepable.
+//! Any spec field — including ones the base file left to defaults — is
+//! sweepable, and every axis path is checked up front against the
+//! scenario's key tree ([`ScenarioSpec`]'s derived `schema()`), so a
+//! typo fails before any grid point runs.
 //!
 //! Points fan out over an [`elk_par`] work pool and merge in grid
 //! order, so the report is byte-identical at any `--threads` setting.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Schema, Serialize, Value};
 
 use crate::report::{SweepPoint, SweepReport};
 use crate::spec::{ScenarioSpec, SweepCommand};
@@ -49,6 +50,40 @@ pub fn set_path(root: &mut Value, path: &str, new: Value) -> Result<(), SpecErro
         cur = &mut entries[idx].1;
     }
     unreachable!("split('.') yields at least one segment")
+}
+
+/// Checks a dotted sweep path against the scenario's key tree. On an
+/// unknown key the error lists every valid key at that level;
+/// descending *into* a leaf value is also an error.
+fn validate_path(path: &str) -> Result<(), String> {
+    if path.split('.').any(str::is_empty) {
+        return Err("malformed path".to_string());
+    }
+    let mut node = ScenarioSpec::schema();
+    let mut walked: Vec<&str> = Vec::new();
+    for seg in path.split('.') {
+        let Schema::Map(entries) = node else {
+            return Err(format!(
+                "`{}` is a value, not an object — cannot descend into `{seg}`",
+                walked.join(".")
+            ));
+        };
+        let Some((_, child)) = entries.iter().find(|(k, _)| *k == seg) else {
+            let valid: Vec<&str> = entries.iter().map(|(k, _)| *k).collect();
+            let at = if walked.is_empty() {
+                "the scenario root".to_string()
+            } else {
+                format!("`{}`", walked.join("."))
+            };
+            return Err(format!(
+                "unknown key `{seg}` at {at}; valid keys: {}",
+                valid.join(", ")
+            ));
+        };
+        node = child();
+        walked.push(seg);
+    }
+    Ok(())
 }
 
 /// One grid point's overrides: `(path, value)` per axis, in axis order.
@@ -94,7 +129,7 @@ pub fn run_sweep(doc: &Value, threads: usize) -> Result<SweepReport, SpecError> 
     // Fail a typo'd axis up front, with the valid keys at that level —
     // not as an unknown-field parse error inside the first grid point.
     for axis in &sweep.axes {
-        crate::schema::validate_path(&axis.path)
+        validate_path(&axis.path)
             .map_err(|e| SpecError::Invalid(format!("sweep axis `{}`: {e}", axis.path)))?;
     }
 
@@ -271,5 +306,261 @@ mod tests {
         let e = run_sweep(&scenario, 1).unwrap_err().to_string();
         assert!(e.contains("`coers` at `system.chip`"), "{e}");
         assert!(e.contains("cores"), "{e}");
+    }
+
+    #[test]
+    fn known_paths_validate() {
+        for path in [
+            "workload.batch",
+            "system.chip.cores",
+            "system.chip.topology.mesh.total_gib_s",
+            "system.hbm.capacity_gib",
+            "model.layers",
+            "model.transformer.hidden",
+            "serving.trace.arrivals.Bursty.burst_factor",
+            "serving.slo.tpot_ms",
+            "workload.trace.file",
+            "workload.trace.generate.rate.BurstTrain.burst_rps",
+            "workload.trace.generate.prompt_len.HeavyTail.alpha",
+            "cluster.plan.tp",
+            "cluster.autoscale.max_groups",
+            "cluster.autoscale.cold_start_steps",
+            "cluster.disaggregate.prefill.tp",
+            "cluster.disaggregate.decode.dp",
+            "cluster.disaggregate.chunk_tokens",
+            "cluster.disaggregate.shared_chips",
+            "serving.tenants.shed_queue_depth",
+            "serving.tenants.classes",
+            "cluster.tenants.shed_policy",
+            "cluster.tenants.defer_ms",
+            "observe.enable",
+            "observe.timeline",
+            "observe.sample",
+            "compiler.design",
+            "system",
+        ] {
+            validate_path(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        }
+    }
+
+    #[test]
+    fn typos_list_the_valid_keys_at_that_level() {
+        let e = validate_path("system.chip.coers").unwrap_err();
+        assert!(e.contains("unknown key `coers` at `system.chip`"), "{e}");
+        assert!(
+            e.contains("cores") && e.contains("sram_per_core_kib"),
+            "{e}"
+        );
+
+        let e = validate_path("wrokload.batch").unwrap_err();
+        assert!(e.contains("the scenario root"), "{e}");
+        assert!(e.contains("workload") && e.contains("cluster"), "{e}");
+    }
+
+    #[test]
+    fn descending_into_a_leaf_is_an_error() {
+        let e = validate_path("workload.batch.x").unwrap_err();
+        assert!(e.contains("value, not an object"), "{e}");
+        assert!(e.contains("workload.batch"), "{e}");
+    }
+
+    /// Scenarios with every `Option` set; across the set, each enum
+    /// takes every variant (variant `k mod n` of spec `k`, or of the
+    /// `k`-th spec that reaches it). `tenants.map` stays empty: its keys
+    /// are tenant ids, data rather than schema.
+    fn maximal_specs() -> Vec<ScenarioSpec> {
+        use crate::spec::*;
+        use elk_serve::{ArrivalProcess, LengthDist, RouterPolicy};
+        use elk_trace::{LengthModel, RateShape};
+
+        let plan = PlanSpec {
+            tp: 1,
+            pp: 1,
+            dp: 1,
+        };
+        let length_model = |k: usize| match k % 3 {
+            0 => LengthModel::Fixed { tokens: 8 },
+            1 => LengthModel::Uniform { lo: 1, hi: 8 },
+            _ => LengthModel::HeavyTail {
+                lo: 1,
+                alpha: 1.2,
+                cap: 64,
+            },
+        };
+        let length_dist = |k: usize| match k % 3 {
+            0 => LengthDist::Fixed(8),
+            1 => LengthDist::Uniform { lo: 1, hi: 8 },
+            _ => LengthDist::Bimodal {
+                short: (1, 8),
+                long: (64, 128),
+                long_weight: 0.1,
+            },
+        };
+        let tenants = TenancySpec {
+            classes: vec![TenantClassSpec {
+                rate_rps: Some(10.0),
+                model: Some("opt30".into()),
+                ..TenantClassSpec::default()
+            }],
+            shed_queue_depth: Some(2.0),
+            ..TenancySpec::default()
+        };
+        (0..12)
+            .map(|k| ScenarioSpec {
+                name: format!("max-{k}"),
+                system: if k % 2 == 0 {
+                    SystemSpec::Preset("ipu_pod4".into())
+                } else {
+                    SystemSpec::Custom {
+                        chip: ChipSpec {
+                            name: "chip".into(),
+                            cores: 64,
+                            sram_per_core_kib: 624,
+                            io_buffer_per_core_kib: 8,
+                            matmul_tflops: 10.0,
+                            vector_tflops: 1.0,
+                            sram_bw_gb_s: 21.3,
+                            sram_contention: "blocking".into(),
+                            topology: if k / 2 % 2 == 0 {
+                                TopologySpec::AllToAll {
+                                    core_link_gib_s: 5.5,
+                                }
+                            } else {
+                                TopologySpec::Mesh { total_gib_s: 512.0 }
+                            },
+                        },
+                        chips: 4,
+                        hbm: HbmSpec::default(),
+                        inter_chip_bw_gib_s: 640.0,
+                    }
+                },
+                model: match k % 4 {
+                    0 => ModelSpec::Zoo {
+                        zoo: "llama13".into(),
+                        layers: Some(2),
+                    },
+                    1 => ModelSpec::Transformer(elk_model::zoo::llama2_13b()),
+                    2 => ModelSpec::Moe(elk_model::zoo::mixtral_8x7b()),
+                    _ => ModelSpec::Dit(elk_model::zoo::dit_xl()),
+                },
+                workload: WorkloadSpec {
+                    shards: Some(4),
+                    trace: Some(if k % 2 == 0 {
+                        TraceSourceSpec::File("trace.jsonl".into())
+                    } else {
+                        TraceSourceSpec::Generate(TraceGenSpec {
+                            rate: match k % 3 {
+                                0 => RateShape::Constant { rate_rps: 10.0 },
+                                1 => RateShape::Diurnal {
+                                    mean_rps: 10.0,
+                                    amplitude: 0.5,
+                                    period_s: 1.0,
+                                },
+                                _ => RateShape::BurstTrain {
+                                    base_rps: 10.0,
+                                    burst_rps: 50.0,
+                                    period_s: 1.0,
+                                    burst_s: 0.2,
+                                },
+                            },
+                            prompt_len: length_model(k),
+                            output_len: length_model(k + 1),
+                            ..TraceGenSpec::default()
+                        })
+                    }),
+                    ..WorkloadSpec::default()
+                },
+                compiler: CompilerSpec {
+                    design: elk_baselines::Design::ALL.to_vec(),
+                    threads: 1,
+                },
+                sim: SimSpec::default(),
+                serving: ServingSpec {
+                    trace: TraceSpec {
+                        arrivals: if k % 2 == 0 {
+                            ArrivalProcess::Poisson { rate_rps: 10.0 }
+                        } else {
+                            ArrivalProcess::Bursty {
+                                rate_rps: 10.0,
+                                burst_factor: 2.0,
+                                period_s: 1.0,
+                                duty: 0.2,
+                            }
+                        },
+                        prompt_len: length_dist(k),
+                        output_len: length_dist(k + 1),
+                        ..TraceSpec::default()
+                    },
+                    tenants: Some(tenants.clone()),
+                    ..ServingSpec::default()
+                },
+                observe: ObserveSpec {
+                    timeline: Some("timeline.json".into()),
+                    ..ObserveSpec::default()
+                },
+                cluster: Some(ClusterSpec {
+                    plan: Some(plan),
+                    microbatches: Some(2),
+                    router: RouterPolicy::all().to_vec(),
+                    autoscale: Some(AutoscaleSpec::default()),
+                    disaggregate: Some(DisaggSpec {
+                        prefill: plan,
+                        decode: plan,
+                        chunk_tokens: 64,
+                        shared_chips: true,
+                    }),
+                    tenants: Some(tenants.clone()),
+                    ..ClusterSpec::default()
+                }),
+                sweep: Some(SweepSpec {
+                    command: [
+                        SweepCommand::Compile,
+                        SweepCommand::Simulate,
+                        SweepCommand::Serve,
+                    ][k % 3],
+                    axes: vec![crate::spec::SweepAxis {
+                        path: "workload.batch".into(),
+                        values: vec![Value::U64(8)],
+                    }],
+                }),
+            })
+            .collect()
+    }
+
+    /// Every dotted key path into an object of `v`, depth first.
+    fn key_paths(v: &Value, prefix: &str, out: &mut Vec<String>) {
+        if let Value::Map(entries) = v {
+            for (key, child) in entries {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                key_paths(child, &path, out);
+                out.push(path);
+            }
+        }
+    }
+
+    /// Drift guard: the key tree sweeps validate against must cover
+    /// every key the spec serializes, including the hand-written
+    /// sections' own `schema()`s.
+    #[test]
+    fn every_key_of_a_maximal_spec_is_a_sweep_path() {
+        let mut paths = Vec::new();
+        for spec in maximal_specs() {
+            let doc = spec.to_value();
+            assert_eq!(ScenarioSpec::from_value(&doc).unwrap(), spec, "round trip");
+            key_paths(&doc, "", &mut paths);
+        }
+        paths.sort();
+        paths.dedup();
+        for path in &paths {
+            validate_path(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        }
+        assert!(paths.contains(&"system.chip.topology.mesh.total_gib_s".to_string()));
+        assert!(paths.contains(&"model.dit.mlp_ratio".to_string()));
+        assert!(paths.contains(&"workload.trace.generate.output_len.Fixed".to_string()));
+        assert!(paths.contains(&"serving.trace.output_len.Bimodal.long".to_string()));
     }
 }

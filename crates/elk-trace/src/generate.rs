@@ -4,11 +4,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Error, Schema, Serialize, Value};
 
 use crate::format::{TraceFile, TraceRecord};
 
 /// Time-varying arrival-rate shape (requests/second).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum RateShape {
     /// Homogeneous Poisson arrivals at a constant rate.
     Constant {
@@ -146,6 +148,45 @@ pub enum LengthModel {
         /// Largest length (truncation point).
         cap: u64,
     },
+}
+
+/// [`LengthModel`]'s JSON form: the derived one, except that `Fixed`
+/// is a bare token count (`{"Fixed": 8}`).
+#[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields, rename = "LengthModel")]
+enum LengthModelJson {
+    Fixed(u64),
+    Uniform { lo: u64, hi: u64 },
+    HeavyTail { lo: u64, alpha: f64, cap: u64 },
+}
+
+impl Serialize for LengthModel {
+    fn to_value(&self) -> Value {
+        match *self {
+            LengthModel::Fixed { tokens } => LengthModelJson::Fixed(tokens),
+            LengthModel::Uniform { lo, hi } => LengthModelJson::Uniform { lo, hi },
+            LengthModel::HeavyTail { lo, alpha, cap } => {
+                LengthModelJson::HeavyTail { lo, alpha, cap }
+            }
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for LengthModel {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(match LengthModelJson::from_value(v)? {
+            LengthModelJson::Fixed(tokens) => LengthModel::Fixed { tokens },
+            LengthModelJson::Uniform { lo, hi } => LengthModel::Uniform { lo, hi },
+            LengthModelJson::HeavyTail { lo, alpha, cap } => {
+                LengthModel::HeavyTail { lo, alpha, cap }
+            }
+        })
+    }
+
+    fn schema() -> Schema {
+        LengthModelJson::schema()
+    }
 }
 
 impl LengthModel {

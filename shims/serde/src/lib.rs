@@ -70,24 +70,90 @@ impl Value {
 }
 
 /// Serialization / deserialization error.
+///
+/// Errors raised inside a struct field carry the dotted key path to
+/// that field, outermost first, behind the name of the outermost type
+/// that wrapped them: `scenario.cluster.disaggregate.prefill: unknown
+/// field(s) `zz``. Each enclosing field replaces the type name with its
+/// own key ([`Error::in_field`]), so the path reads from the root of
+/// whatever document was parsed.
 #[derive(Debug, Clone)]
-pub struct Error(String);
+pub struct Error {
+    msg: String,
+    /// Dotted key path below `ty` (empty when the error is about `ty`'s
+    /// value itself).
+    path: String,
+    /// The type the path starts from, if any.
+    ty: Option<&'static str>,
+}
 
 impl Error {
     /// Creates an error from a message.
     #[must_use]
     pub fn msg(m: impl Into<String>) -> Self {
-        Error(m.into())
+        Error {
+            msg: m.into(),
+            path: String::new(),
+            ty: None,
+        }
+    }
+
+    /// Creates an error about a value of type `ty` itself.
+    #[must_use]
+    pub fn at(ty: &'static str, m: impl Into<String>) -> Self {
+        Error {
+            ty: Some(ty),
+            ..Error::msg(m)
+        }
+    }
+
+    /// Re-roots the error at field `key` of a `ty` value: `key` becomes
+    /// the first path segment and `ty` the type the path starts from.
+    #[must_use]
+    pub fn in_field(mut self, ty: &'static str, key: &str) -> Self {
+        self.path = if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{key}.{}", self.path)
+        };
+        self.ty = Some(ty);
+        self
     }
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        match (self.ty, self.path.is_empty()) {
+            (None, _) => f.write_str(&self.msg),
+            (Some(ty), true) => write!(f, "{ty}: {}", self.msg),
+            (Some(ty), false) => write!(f, "{ty}.{}: {}", self.path, self.msg),
+        }
     }
 }
 
 impl std::error::Error for Error {}
+
+/// The key tree a type deserializes from, for validating dotted paths
+/// into a document (e.g. sweep axes) before any value is parsed.
+#[derive(Debug, Clone, Copy)]
+pub enum Schema {
+    /// A scalar or array value: settable, but not descendable.
+    Leaf,
+    /// An object with a fixed key set; each child's tree is built on
+    /// demand, so recursive and shared subtrees cost nothing up front.
+    Map(&'static [SchemaEntry]),
+}
+
+/// One key of a [`Schema::Map`] and the function building its subtree.
+pub type SchemaEntry = (&'static str, fn() -> Schema);
+
+impl Schema {
+    /// [`Schema::Leaf`] as a function, for [`Schema::Map`] entries.
+    #[must_use]
+    pub fn leaf() -> Schema {
+        Schema::Leaf
+    }
+}
 
 /// A value that can lower itself to a [`Value`] tree.
 pub trait Serialize {
@@ -100,21 +166,15 @@ pub trait Deserialize: Sized {
     /// # Errors
     /// Returns an error when `v` does not have the expected shape.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// The key tree of this type's JSON form. The derive fills it from
+    /// field and variant names; scalars and sequences are leaves.
+    fn schema() -> Schema {
+        Schema::Leaf
+    }
 }
 
 // ---- helpers used by the derive-generated code ----
-
-/// # Errors
-/// Errors when `v` is not a map.
-pub fn expect_map<'v>(v: &'v Value, ty: &str) -> Result<&'v [(String, Value)], Error> {
-    match v {
-        Value::Map(m) => Ok(m),
-        other => Err(Error::msg(format!(
-            "expected map for {ty}, found {}",
-            other.kind()
-        ))),
-    }
-}
 
 /// # Errors
 /// Errors when `v` is not a sequence of exactly `len` elements.
@@ -132,17 +192,105 @@ pub fn expect_seq<'v>(v: &'v Value, ty: &str, len: usize) -> Result<&'v [Value],
     }
 }
 
-/// Looks up and deserializes a struct field.
+fn expect_map<'v>(v: &'v Value, ty: &str) -> Result<&'v [(String, Value)], Error> {
+    match v {
+        Value::Map(m) => Ok(m),
+        other => Err(Error::msg(format!(
+            "expected map for {ty}, found {}",
+            other.kind()
+        ))),
+    }
+}
+
+/// Sorts the entries of the object `v` into one slot per key of `keys`
+/// (`None` where a key is absent), without allocating.
+///
+/// With `deny_unknown` set, a repeated key or a key outside `keys` is
+/// an error; otherwise unknown keys are ignored and the first of
+/// repeated keys wins.
 ///
 /// # Errors
-/// Errors when the field is missing or has the wrong shape.
-pub fn field<T: Deserialize>(map: &[(String, Value)], ty: &str, name: &str) -> Result<T, Error> {
-    let v = map
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::msg(format!("missing field `{name}` for {ty}")))?;
-    T::from_value(v).map_err(|e| Error::msg(format!("{ty}.{name}: {e}")))
+/// Errors when `v` is not an object, or as described above.
+pub fn struct_fields<'v, const N: usize>(
+    v: &'v Value,
+    ty: &'static str,
+    keys: &[&str; N],
+    deny_unknown: bool,
+) -> Result<[Option<&'v Value>; N], Error> {
+    let Value::Map(entries) = v else {
+        return Err(Error::at(
+            ty,
+            format!("expected a JSON object, found {}", v.kind()),
+        ));
+    };
+    let mut slots = [None; N];
+    let mut unknown = false;
+    for (k, val) in entries {
+        match keys.iter().position(|key| key == k) {
+            Some(i) if slots[i].is_none() => slots[i] = Some(val),
+            Some(_) if deny_unknown => return Err(Error::at(ty, format!("duplicate key `{k}`"))),
+            Some(_) => {}
+            None => unknown = true,
+        }
+    }
+    if unknown && deny_unknown {
+        let unknown: Vec<&str> = entries
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|k| !keys.contains(k))
+            .collect();
+        return Err(Error::at(
+            ty,
+            format!("unknown field(s) `{}`", unknown.join("`, `")),
+        ));
+    }
+    Ok(slots)
+}
+
+/// Parses one required struct field from its slot.
+///
+/// # Errors
+/// Errors when the field is missing or `parse` fails.
+pub fn de_field<T>(
+    slot: Option<&Value>,
+    ty: &'static str,
+    key: &str,
+    parse: impl FnOnce(&Value) -> Result<T, Error>,
+) -> Result<T, Error> {
+    match slot {
+        Some(v) => parse(v).map_err(|e| e.in_field(ty, key)),
+        None => Err(Error::at(ty, format!("missing field `{key}`"))),
+    }
+}
+
+/// Parses one defaulted struct field from its slot: an absent key or
+/// JSON `null` takes `default()`.
+///
+/// # Errors
+/// Errors when `parse` fails.
+pub fn de_default<T>(
+    slot: Option<&Value>,
+    ty: &'static str,
+    key: &str,
+    parse: impl FnOnce(&Value) -> Result<T, Error>,
+    default: impl FnOnce() -> T,
+) -> Result<T, Error> {
+    match slot {
+        None | Some(Value::Null) => Ok(default()),
+        Some(v) => parse(v).map_err(|e| e.in_field(ty, key)),
+    }
+}
+
+/// The error for an enum tag that names no variant of `ty`.
+#[must_use]
+pub fn unknown_variant(ty: &'static str, tag: &str, variants: &[&str]) -> Error {
+    Error::at(
+        ty,
+        format!(
+            "unknown variant `{tag}`, expected one of `{}`",
+            variants.join("`, `")
+        ),
+    )
 }
 
 // ---- primitive impls ----
@@ -151,7 +299,7 @@ macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                Value::U64(u64::from(*self))
+                Value::U64(*self as u64)
             }
         }
         impl Deserialize for $t {
@@ -172,25 +320,13 @@ macro_rules! impl_unsigned {
         }
     )*};
 }
-impl_unsigned!(u8, u16, u32, u64);
-
-impl Serialize for usize {
-    fn to_value(&self) -> Value {
-        Value::U64(*self as u64)
-    }
-}
-impl Deserialize for usize {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let n = u64::from_value(v)?;
-        usize::try_from(n).map_err(|_| Error::msg(format!("integer {n} out of range")))
-    }
-}
+impl_unsigned!(u8, u16, u32, u64, usize);
 
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
-                Value::I64(i64::from(*self))
+                Value::I64(*self as i64)
             }
         }
         impl Deserialize for $t {
@@ -212,19 +348,7 @@ macro_rules! impl_signed {
         }
     )*};
 }
-impl_signed!(i8, i16, i32, i64);
-
-impl Serialize for isize {
-    fn to_value(&self) -> Value {
-        Value::I64(*self as i64)
-    }
-}
-impl Deserialize for isize {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let n = i64::from_value(v)?;
-        isize::try_from(n).map_err(|_| Error::msg(format!("integer {n} out of range")))
-    }
-}
+impl_signed!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -338,6 +462,10 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => Ok(Some(T::from_value(other)?)),
         }
     }
+
+    fn schema() -> Schema {
+        T::schema()
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
@@ -404,8 +532,9 @@ impl<T: Serialize> Serialize for std::ops::Range<T> {
 }
 impl<T: Deserialize> Deserialize for std::ops::Range<T> {
     fn from_value(v: &Value) -> Result<Self, Error> {
-        let m = expect_map(v, "Range")?;
-        Ok(field(m, "Range", "start")?..field(m, "Range", "end")?)
+        let [start, end] = struct_fields(v, "Range", &["start", "end"], false)?;
+        let field = |slot, key| de_field(slot, "Range", key, T::from_value);
+        Ok(field(start, "start")?..field(end, "end")?)
     }
 }
 

@@ -2,10 +2,12 @@
 //! strategies can produce must survive struct → JSON → struct
 //! unchanged, through both the compact and the pretty emitter.
 //!
-//! The spec types hand-write both `Serialize` and `Deserialize` (the
-//! derive shim cannot express defaults or unknown-key rejection), so
-//! the two directions can silently drift apart — a renamed key on one
-//! side only, a forgotten field — and this suite is what pins them
+//! Most spec types derive both directions from one field list, but
+//! defaults, skipped `None`s and `with` modules still shape the JSON,
+//! and the irregular sections (`system`, `model`, `tenants`, the
+//! `{"Fixed": n}` length model) hand-write both `Serialize` and
+//! `Deserialize` — where the two directions can drift apart, a renamed
+//! key on one side only or a forgotten field. This suite pins them
 //! together.
 
 use proptest::prelude::*;
