@@ -1,8 +1,8 @@
 //! Autoscaling cluster serving: an elastic `dp` fleet on the shared
 //! deterministic event kernel.
 //!
-//! [`AutoscaleServingSim`] replays a request trace like
-//! [`ClusterServingSim`](crate::ClusterServingSim), but the number of
+//! [`AutoscaleServingSim`] replays a request trace on the routed loop of
+//! [`ClusterServingSim`], but the number of
 //! live replica groups is controlled at runtime: a periodic controller
 //! compares the **time-weighted waiting-queue depth** per ready group
 //! and the **windowed SLO attainment** against thresholds and grows or
@@ -30,15 +30,13 @@ use elk_hw::SystemConfig;
 use elk_model::Phase;
 use elk_obs::Obs;
 use elk_serve::{
-    record_requests, Group, LatencyStats, PoolSummary, RequestOutcome, RequestSummary,
-    RequestTrace, SloConfig,
+    record_requests, Group, LatencyStats, RequestOutcome, RequestTrace, RouterPolicy, SloConfig,
 };
-use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
+use elk_sim_core::{PRIO_ARRIVAL, PRIO_STEP_DONE};
 use elk_units::Seconds;
 
 use crate::plan::ParallelismPlan;
-use crate::pricing::StepPricer;
-use crate::serve::ClusterServeConfig;
+use crate::serve::{ClusterServeConfig, ClusterServingSim, Ev, Front, Queue};
 use crate::ClusterError;
 
 /// Controller events fire after every arrival and step completion at
@@ -112,8 +110,11 @@ impl AutoscaleConfig {
                 self.slo_target
             ));
         }
-        if self.cold_start_steps < 0.0 {
-            return fail("autoscale cold_start_steps must be >= 0".into());
+        if !(self.cold_start_steps >= 0.0 && self.cold_start_steps.is_finite()) {
+            return fail(format!(
+                "autoscale cold_start_steps must be a finite number >= 0, got {}",
+                self.cold_start_steps
+            ));
         }
         Ok(())
     }
@@ -236,28 +237,18 @@ enum GroupState {
     Draining,
 }
 
-/// Events on the autoscaled fleet's shared timeline.
-enum Ev {
-    /// The request at this trace index reaches the front-end router.
-    Arrival(usize),
-    /// This group's in-flight scheduler step completes.
-    StepDone {
-        /// Index of the group whose step finished.
-        gid: usize,
-    },
+/// The autoscaler's own events on the routed timeline.
+enum Control {
     /// This group's cold start finishes.
-    GroupReady {
-        /// Index of the group that finished warming.
-        gid: usize,
-    },
+    GroupReady(usize),
     /// Periodic controller decision point.
     ScaleTick,
 }
 
-/// One group slot: the colocated group plus its fleet lifecycle.
+/// The fleet lifecycle of one group slot (its group lives in the
+/// routed loop).
 #[derive(Default)]
 struct Slot {
-    group: Group,
     state: GroupState,
     /// When the slot was last provisioned (None while off).
     on_since: Option<Seconds>,
@@ -265,18 +256,204 @@ struct Slot {
     on_time: Seconds,
 }
 
+/// The autoscaler's front-end on the routed loop, for one run: the
+/// controller, the slot lifecycles, and the counters the report needs.
+#[derive(Default)]
+struct Fleet {
+    auto: AutoscaleConfig,
+    slo: SloConfig,
+    /// Requests in the trace: the controller stops ticking once every
+    /// one has completed.
+    requests: usize,
+    /// Cold-start delay the next spin-up pays: the warm-up compile
+    /// cost until one spin-up has compiled the warm-up shapes this run,
+    /// zero after (later spin-ups hit the shared cache and start warm).
+    /// Deliberately NOT read from PlanCache counters — those shift with
+    /// the compile worker count.
+    cold_cost: Seconds,
+    slots: Vec<Slot>,
+    transitions: Vec<ScaleEvent>,
+    completed: usize,
+    window_completed: usize,
+    window_met: usize,
+    area_prev: f64,
+    scale_ups: u64,
+    scale_downs: u64,
+    cold_starts: u64,
+    cold_start_total: Seconds,
+    /// Most slots provisioned at once (warming included).
+    peak_groups: usize,
+}
+
+impl Fleet {
+    /// The fleet at trace start: the floor is provisioned before the
+    /// trace window opens.
+    fn new(auto: AutoscaleConfig, slo: SloConfig, requests: usize, cold_cost: Seconds) -> Self {
+        let min = auto.min_groups as usize;
+        let mut fleet = Fleet {
+            auto,
+            slo,
+            requests,
+            cold_cost,
+            slots: (0..auto.max_groups).map(|_| Slot::default()).collect(),
+            scale_ups: min as u64,
+            peak_groups: min,
+            ..Fleet::default()
+        };
+        for gid in 0..min {
+            fleet.log(Seconds::ZERO, ScaleEventKind::Up, gid, Seconds::ZERO);
+            fleet.slots[gid].state = GroupState::Ready;
+            fleet.slots[gid].on_since = Some(Seconds::ZERO);
+            fleet.log(Seconds::ZERO, ScaleEventKind::Ready, gid, Seconds::ZERO);
+        }
+        fleet
+    }
+
+    fn ready_count(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|s| s.state == GroupState::Ready)
+            .count()
+    }
+
+    /// Appends a transition, stamped with the ready count it leaves.
+    fn log(&mut self, time: Seconds, kind: ScaleEventKind, group: usize, cold_start: Seconds) {
+        let ready = self.ready_count();
+        self.transitions.push(ScaleEvent {
+            time,
+            kind,
+            group,
+            ready,
+            cold_start,
+        });
+    }
+
+    /// One controller decision at `now`.
+    fn tick(&mut self, q: &mut Queue<Self>, groups: &[Group], now: Seconds) {
+        let auto = self.auto;
+        let ready = self.ready_count();
+        let area_now: f64 = groups.iter().map(|g| g.stats.queue.area_until(now)).sum();
+        let depth = (area_now - self.area_prev) / auto.interval.as_secs() / ready.max(1) as f64;
+        self.area_prev = area_now;
+        let attainment = if self.window_completed > 0 {
+            self.window_met as f64 / self.window_completed as f64
+        } else {
+            1.0
+        };
+        self.window_completed = 0;
+        self.window_met = 0;
+        let warming = self.slots.iter().any(|s| s.state == GroupState::Warming);
+        let overloaded = depth > auto.up_queue_depth || attainment < auto.slo_target;
+        let idle = depth < auto.down_queue_depth && attainment >= auto.slo_target;
+        let position = |state| self.slots.iter().position(|s| s.state == state);
+        // One transition per tick, and none while a group warms — a
+        // cooldown so the controller waits for ordered capacity before
+        // ordering more.
+        if !warming && overloaded && ready < self.slots.len() {
+            self.scale_ups += 1;
+            if let Some(gid) = position(GroupState::Draining) {
+                // Cheapest capacity first: a draining group is still
+                // warm and running — reactivate.
+                self.slots[gid].state = GroupState::Ready;
+                self.log(now, ScaleEventKind::Up, gid, Seconds::ZERO);
+                self.log(now, ScaleEventKind::Ready, gid, Seconds::ZERO);
+            } else if let Some(gid) = position(GroupState::Off) {
+                let cold = std::mem::replace(&mut self.cold_cost, Seconds::ZERO);
+                if cold > Seconds::ZERO {
+                    self.cold_starts += 1;
+                    self.cold_start_total += cold;
+                }
+                self.slots[gid].state = GroupState::Warming;
+                self.slots[gid].on_since = Some(now);
+                let provisioned = self.slots.iter().filter(|s| s.on_since.is_some());
+                self.peak_groups = self.peak_groups.max(provisioned.count());
+                self.log(now, ScaleEventKind::Up, gid, cold);
+                q.schedule_after(cold, PRIO_CONTROL, Ev::Front(Control::GroupReady(gid)));
+            }
+        } else if !warming && idle && ready > auto.min_groups as usize {
+            // Drain the highest-index ready group: lowest indices stay
+            // the stable core of the fleet.
+            let gid = self
+                .slots
+                .iter()
+                .rposition(|s| s.state == GroupState::Ready)
+                .expect("ready > min >= 1");
+            self.scale_downs += 1;
+            self.slots[gid].state = GroupState::Draining;
+            self.log(now, ScaleEventKind::Down, gid, Seconds::ZERO);
+        }
+        if self.completed < self.requests {
+            q.schedule_after(auto.interval, PRIO_CONTROL, Ev::Front(Control::ScaleTick));
+        }
+    }
+}
+
+impl Front for Fleet {
+    type Event = Control;
+    const TRACK: &'static str = "autoscale/kernel";
+
+    fn classes(&self) -> Vec<(u8, &'static str)> {
+        vec![
+            (PRIO_ARRIVAL, "arrival"),
+            (PRIO_STEP_DONE, "step_done"),
+            (PRIO_CONTROL, "control"),
+        ]
+    }
+
+    fn open(&mut self, q: &mut Queue<Self>) {
+        if self.requests > 0 {
+            let tick = Ev::Front(Control::ScaleTick);
+            q.schedule(self.auto.interval, PRIO_CONTROL, tick);
+        }
+    }
+
+    fn handle(&mut self, q: &mut Queue<Self>, groups: &[Group], e: Control) -> Option<usize> {
+        let now = q.now();
+        match e {
+            Control::GroupReady(gid) => {
+                debug_assert_eq!(self.slots[gid].state, GroupState::Warming);
+                self.slots[gid].state = GroupState::Ready;
+                self.log(now, ScaleEventKind::Ready, gid, Seconds::ZERO);
+            }
+            Control::ScaleTick => self.tick(q, groups, now),
+        }
+        None
+    }
+
+    /// Requests are never routed to warming, draining or off groups.
+    fn routable(&self, gid: usize) -> bool {
+        self.slots[gid].state == GroupState::Ready
+    }
+
+    fn completed(&mut self, outcome: &RequestOutcome) {
+        self.completed += 1;
+        self.window_completed += 1;
+        self.window_met += usize::from(outcome.meets(&self.slo));
+    }
+
+    /// An idle draining group releases its chips.
+    fn idle(&mut self, gid: usize, now: Seconds, group: &Group) {
+        let slot = &mut self.slots[gid];
+        if slot.state == GroupState::Draining && group.is_drained() {
+            slot.state = GroupState::Off;
+            if let Some(since) = slot.on_since.take() {
+                slot.on_time += now - since;
+            }
+            self.log(now, ScaleEventKind::Off, gid, Seconds::ZERO);
+        }
+    }
+}
+
 /// Trace-driven serving simulator with an elastic group fleet.
 ///
-/// Owns the same `StepPricer` machinery as
-/// [`ClusterServingSim`](crate::ClusterServingSim): stage plans live in
-/// one single-flight cache, so serving steps and cold-start warm-ups
-/// price identically and consecutive runs reuse compiled stages.
+/// Runs the routed loop of [`ClusterServingSim`] over `max_groups`
+/// group slots: stage plans live in one single-flight cache, so
+/// serving steps and cold-start warm-ups price identically and
+/// consecutive runs reuse compiled stages.
 #[derive(Debug)]
 pub struct AutoscaleServingSim {
-    config: ClusterServeConfig,
+    sim: ClusterServingSim,
     auto: AutoscaleConfig,
-    pricer: StepPricer,
-    obs: Obs,
 }
 
 impl AutoscaleServingSim {
@@ -296,22 +473,8 @@ impl AutoscaleServingSim {
         config.batch.validate();
         auto.validate()?;
         let plan = ParallelismPlan::new(config.plan.tp, config.plan.pp, auto.max_groups);
-        plan.validate_structure(&system, &config.model)
-            .map_err(ClusterError::Invalid)?;
-        let config = ClusterServeConfig { plan, ..config };
-        let pricer = StepPricer::new(
-            &system,
-            config.model.clone(),
-            config.plan,
-            config.sim,
-            config.threads,
-        );
-        Ok(AutoscaleServingSim {
-            config,
-            auto,
-            pricer,
-            obs: Obs::null(),
-        })
+        let sim = ClusterServingSim::new(system, ClusterServeConfig { plan, ..config })?;
+        Ok(AutoscaleServingSim { sim, auto })
     }
 
     /// Attaches a recorder: subsequent runs emit kernel dispatch spans,
@@ -319,13 +482,13 @@ impl AutoscaleServingSim {
     /// track, and `autoscale.*` metrics. All recorded quantities are
     /// sim-time only and byte-identical across `threads` settings.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.sim.set_obs(obs);
     }
 
     /// The serve configuration (with `plan.dp` set to `max_groups`).
     #[must_use]
     pub fn config(&self) -> &ClusterServeConfig {
-        &self.config
+        self.sim.config()
     }
 
     /// The controller policy.
@@ -347,20 +510,22 @@ impl AutoscaleServingSim {
         design: Design,
         prompt_hint: u64,
     ) -> Result<Seconds, ClusterError> {
-        let batch = &self.config.batch;
+        let batch = &self.config().batch;
         let warmup = [
             batch.step_workload(Phase::Prefill, 1, prompt_hint),
             batch.step_workload(Phase::Decode, batch.max_batch, prompt_hint),
         ];
         let mut total = Seconds::ZERO;
         for wl in warmup {
-            total += self.pricer.split_step(design, wl)?;
+            total += self.sim.pricers[0].split_step(design, wl)?;
         }
         Ok(Seconds::new(total.as_secs() * self.auto.cold_start_steps))
     }
 
     /// Serves `trace` under `design` with the elastic fleet and
     /// reports request-level metrics plus the scale transition log.
+    /// Arrivals go to the least-outstanding ready group, lowest index
+    /// on ties.
     ///
     /// # Errors
     ///
@@ -370,359 +535,82 @@ impl AutoscaleServingSim {
         design: Design,
         trace: &RequestTrace,
     ) -> Result<AutoscaleReport, ClusterError> {
-        let max = self.auto.max_groups as usize;
-        let min = self.auto.min_groups as usize;
-        let reqs = &trace.requests;
-        let mut slots: Vec<Slot> = (0..max).map(|_| Slot::default()).collect();
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut transitions: Vec<ScaleEvent> = Vec::new();
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        q.observe(
-            self.obs.clone(),
-            "autoscale/kernel",
-            &[
-                (PRIO_ARRIVAL, "arrival"),
-                (PRIO_STEP_DONE, "step_done"),
-                (PRIO_CONTROL, "control"),
-            ],
-        );
-
         // The warm-up shape set prices against the trace's worst-case
         // prompt, so the cold start covers the plans the group will
         // actually need.
-        let prompt_hint = reqs.iter().map(|r| r.prompt_len).max().unwrap_or(1);
-        let cold_cost = self.cold_start_cost(design, prompt_hint)?;
-        // `true` once any group's spin-up has compiled the warm-up
-        // shapes this run: later spin-ups hit the shared cache and
-        // start warm. Deliberately NOT read from PlanCache counters —
-        // those shift with the compile worker count.
-        let mut fleet_warm = false;
+        let prompt_hint = trace.requests.iter().map(|r| r.prompt_len).max();
+        let cold_cost = self.cold_start_cost(design, prompt_hint.unwrap_or(1))?;
+        let mut fleet = Fleet::new(self.auto, self.config().slo, trace.len(), cold_cost);
+        let policy = RouterPolicy::LeastOutstanding;
+        let mut run = self.sim.replay(&mut fleet, design, policy, trace)?;
+        let outcomes = run.all_outcomes();
 
-        let ready_count = |slots: &[Slot]| {
-            slots
-                .iter()
-                .filter(|s| s.state == GroupState::Ready)
-                .count()
-        };
-
-        // The floor fleet is provisioned before the trace window opens.
-        for (gid, slot) in slots.iter_mut().enumerate().take(min) {
-            slot.state = GroupState::Ready;
-            slot.on_since = Some(Seconds::ZERO);
-            transitions.push(ScaleEvent {
-                time: Seconds::ZERO,
-                kind: ScaleEventKind::Up,
-                group: gid,
-                ready: gid,
-                cold_start: Seconds::ZERO,
-            });
-            transitions.push(ScaleEvent {
-                time: Seconds::ZERO,
-                kind: ScaleEventKind::Ready,
-                group: gid,
-                ready: gid + 1,
-                cold_start: Seconds::ZERO,
-            });
-        }
-
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx));
-        }
-        if !trace.is_empty() {
-            q.schedule(self.auto.interval, PRIO_CONTROL, Ev::ScaleTick);
-        }
-
-        let mut completed = 0usize;
-        let mut window_completed = 0usize;
-        let mut window_met = 0usize;
-        let mut area_prev = 0.0f64;
-        let mut scale_ups = min as u64;
-        let mut scale_downs = 0u64;
-        let mut cold_starts = 0u64;
-        let mut cold_start_total = Seconds::ZERO;
-        let mut on_now = min;
-        let mut peak_groups = min;
-
-        while let Some(fired) = q.pop() {
-            let now = q.now();
-            match fired.event {
-                Ev::Arrival(idx) => {
-                    // Least-outstanding over the ready set, lowest
-                    // index on ties — deterministic, and requests are
-                    // never routed to warming or draining groups.
-                    let pick = slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.state == GroupState::Ready)
-                        .min_by_key(|(gid, s)| (s.group.outstanding(), *gid))
-                        .map(|(gid, _)| gid)
-                        .expect("the fleet floor keeps >= 1 group ready");
-                    slots[pick].group.enqueue(now, idx);
-                }
-                Ev::StepDone { gid } => {
-                    let slo = self.config.slo;
-                    slots[gid]
-                        .group
-                        .finish_step(gid, now, reqs, &mut outcomes, |o| {
-                            completed += 1;
-                            window_completed += 1;
-                            window_met += usize::from(o.meets(&slo));
-                        });
-                }
-                Ev::GroupReady { gid } => {
-                    let slot = &mut slots[gid];
-                    debug_assert_eq!(slot.state, GroupState::Warming);
-                    slot.state = GroupState::Ready;
-                    transitions.push(ScaleEvent {
-                        time: now,
-                        kind: ScaleEventKind::Ready,
-                        group: gid,
-                        ready: ready_count(&slots),
-                        cold_start: Seconds::ZERO,
-                    });
-                }
-                Ev::ScaleTick => {
-                    let ready = ready_count(&slots);
-                    let area_now: f64 = slots
-                        .iter()
-                        .map(|s| s.group.stats.queue.area_until(now))
-                        .sum();
-                    let depth =
-                        (area_now - area_prev) / self.auto.interval.as_secs() / ready.max(1) as f64;
-                    area_prev = area_now;
-                    let attainment = if window_completed > 0 {
-                        window_met as f64 / window_completed as f64
-                    } else {
-                        1.0
-                    };
-                    window_completed = 0;
-                    window_met = 0;
-                    let warming = slots.iter().any(|s| s.state == GroupState::Warming);
-                    let overloaded =
-                        depth > self.auto.up_queue_depth || attainment < self.auto.slo_target;
-                    let idle =
-                        depth < self.auto.down_queue_depth && attainment >= self.auto.slo_target;
-                    // One transition per tick, and none while a group
-                    // warms — a cooldown so the controller waits for
-                    // ordered capacity before ordering more.
-                    if !warming && overloaded && ready < max {
-                        scale_ups += 1;
-                        if let Some(gid) =
-                            slots.iter().position(|s| s.state == GroupState::Draining)
-                        {
-                            // Cheapest capacity first: a draining group
-                            // is still warm and running — reactivate.
-                            slots[gid].state = GroupState::Ready;
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Up,
-                                group: gid,
-                                ready: ready_count(&slots),
-                                cold_start: Seconds::ZERO,
-                            });
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Ready,
-                                group: gid,
-                                ready: ready_count(&slots),
-                                cold_start: Seconds::ZERO,
-                            });
-                        } else if let Some(gid) =
-                            slots.iter().position(|s| s.state == GroupState::Off)
-                        {
-                            let cold = if fleet_warm { Seconds::ZERO } else { cold_cost };
-                            fleet_warm = true;
-                            if cold > Seconds::ZERO {
-                                cold_starts += 1;
-                                cold_start_total += cold;
-                            }
-                            let slot = &mut slots[gid];
-                            slot.state = GroupState::Warming;
-                            slot.on_since = Some(now);
-                            on_now += 1;
-                            peak_groups = peak_groups.max(on_now);
-                            transitions.push(ScaleEvent {
-                                time: now,
-                                kind: ScaleEventKind::Up,
-                                group: gid,
-                                ready,
-                                cold_start: cold,
-                            });
-                            q.schedule_after(cold, PRIO_CONTROL, Ev::GroupReady { gid });
-                        }
-                    } else if !warming && idle && ready > min {
-                        // Drain the highest-index ready group: lowest
-                        // indices stay the stable core of the fleet.
-                        let gid = slots
-                            .iter()
-                            .rposition(|s| s.state == GroupState::Ready)
-                            .expect("ready > min >= 1");
-                        scale_downs += 1;
-                        slots[gid].state = GroupState::Draining;
-                        transitions.push(ScaleEvent {
-                            time: now,
-                            kind: ScaleEventKind::Down,
-                            group: gid,
-                            ready: ready_count(&slots),
-                            cold_start: Seconds::ZERO,
-                        });
-                    }
-                    if completed < trace.len() {
-                        q.schedule_after(self.auto.interval, PRIO_CONTROL, Ev::ScaleTick);
-                    }
-                }
-            }
-            // Defer dispatch until every event at this instant has
-            // fired, then scan slots in index order (deterministic).
-            if q.peek_time() == Some(now) {
-                continue;
-            }
-            for gid in 0..slots.len() {
-                let slot = &mut slots[gid];
-                if !matches!(slot.state, GroupState::Ready | GroupState::Draining) {
-                    continue;
-                }
-                let price = |wl| self.pricer.split_step(design, wl);
-                if let Some((latency, _)) =
-                    slot.group
-                        .start_step(now, &self.config.batch, reqs, price)?
-                {
-                    q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
-                } else if slot.state == GroupState::Draining && slot.group.is_drained() {
-                    // An idle draining group releases its chips.
-                    slot.state = GroupState::Off;
-                    if let Some(since) = slot.on_since.take() {
-                        slot.on_time += now - since;
-                    }
-                    on_now -= 1;
-                    transitions.push(ScaleEvent {
-                        time: now,
-                        kind: ScaleEventKind::Off,
-                        group: gid,
-                        ready: ready_count(&slots),
-                        cold_start: Seconds::ZERO,
-                    });
-                }
-            }
-        }
-
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("the drain completes every request"))
-            .collect();
-        let sim_events = q.events_processed();
-        Ok(self.summarize(
-            design,
-            trace,
-            slots,
-            outcomes,
-            transitions,
-            Summing {
-                sim_events,
-                scale_ups,
-                scale_downs,
-                cold_starts,
-                cold_start_total,
-                peak_groups,
-            },
-        ))
-    }
-
-    /// Folds per-request outcomes into the aggregate report.
-    fn summarize(
-        &self,
-        design: Design,
-        trace: &RequestTrace,
-        slots: Vec<Slot>,
-        outcomes: Vec<RequestOutcome>,
-        transitions: Vec<ScaleEvent>,
-        extra: Summing,
-    ) -> AutoscaleReport {
-        if self.obs.enabled() {
-            self.obs.counter("autoscale.scale_ups", extra.scale_ups);
-            self.obs.counter("autoscale.scale_downs", extra.scale_downs);
-            self.obs.counter("autoscale.cold_starts", extra.cold_starts);
-            for ev in &transitions {
+        let obs = &self.sim.obs;
+        if obs.enabled() {
+            obs.counter("autoscale.scale_ups", fleet.scale_ups);
+            obs.counter("autoscale.scale_downs", fleet.scale_downs);
+            obs.counter("autoscale.cold_starts", fleet.cold_starts);
+            for ev in &fleet.transitions {
                 let name = match ev.kind {
                     ScaleEventKind::Up => "up",
                     ScaleEventKind::Ready => "ready",
                     ScaleEventKind::Down => "down",
                     ScaleEventKind::Off => "off",
                 };
-                self.obs.instant(
-                    "fleet",
-                    name,
-                    ev.time,
-                    &[
-                        ("group", ev.group.to_string()),
-                        ("ready", ev.ready.to_string()),
-                    ],
-                );
-                self.obs
-                    .gauge("fleet", "ready_groups", ev.time, ev.ready as f64);
+                let args = [
+                    ("group", ev.group.to_string()),
+                    ("ready", ev.ready.to_string()),
+                ];
+                obs.instant("fleet", name, ev.time, &args);
+                obs.gauge("fleet", "ready_groups", ev.time, ev.ready as f64);
             }
         }
-        record_requests(&self.obs, "autoscale", "group", &outcomes);
+        record_requests(obs, "autoscale", "group", &outcomes);
+        let base = self.sim.summarize(design, policy, trace, run, outcomes);
         // Groups still provisioned at the end bill until the makespan.
-        let lifecycles: Vec<(Seconds, Option<Seconds>)> =
-            slots.iter().map(|s| (s.on_time, s.on_since)).collect();
-        let pool = PoolSummary::of(slots.into_iter().map(|s| s.group.stats));
-        let summary = RequestSummary::of(&outcomes, self.config.slo, pool.makespan);
-        let group_chips = (self.config.plan.tp * self.config.plan.pp) as f64;
-        let chip_seconds: f64 = lifecycles
-            .into_iter()
-            .map(|(mut on, since)| {
-                if let Some(since) = since {
-                    if pool.makespan > since {
-                        on += pool.makespan - since;
-                    }
-                }
-                on.as_secs() * group_chips
+        let group_chips = (base.plan.tp * base.plan.pp) as f64;
+        let chip_seconds: f64 = fleet
+            .slots
+            .iter()
+            .map(|s| match s.on_since {
+                Some(since) if base.makespan > since => s.on_time + (base.makespan - since),
+                _ => s.on_time,
             })
+            .map(|on| on.as_secs() * group_chips)
             .sum();
-        AutoscaleReport {
+        Ok(AutoscaleReport {
             design,
-            plan: self.config.plan,
+            plan: base.plan,
             min_groups: self.auto.min_groups,
             max_groups: self.auto.max_groups,
-            requests: trace.len(),
-            completed: outcomes.len(),
-            makespan: pool.makespan,
-            ttft: summary.ttft,
-            tpot: summary.tpot,
-            e2e: summary.e2e,
-            slo: summary.slo,
-            slo_attainment: summary.slo_attainment,
-            goodput_rps: summary.goodput_rps,
-            throughput_rps: summary.throughput_rps,
-            tokens_per_sec: summary.tokens_per_sec,
-            prefill_steps: pool.prefill_steps,
-            decode_steps: pool.decode_steps,
-            per_group_requests: pool.per_group_requests,
-            mean_queue_depth: pool.mean_queue_depth,
-            max_queue_depth: pool.max_queue_depth,
-            queue_depth: pool.queue_depth,
-            scale_ups: extra.scale_ups,
-            scale_downs: extra.scale_downs,
-            cold_starts: extra.cold_starts,
-            cold_start_total: extra.cold_start_total,
+            requests: base.requests,
+            completed: base.completed,
+            makespan: base.makespan,
+            ttft: base.ttft,
+            tpot: base.tpot,
+            e2e: base.e2e,
+            slo: base.slo,
+            slo_attainment: base.slo_attainment,
+            goodput_rps: base.goodput_rps,
+            throughput_rps: base.throughput_rps,
+            tokens_per_sec: base.tokens_per_sec,
+            prefill_steps: base.prefill_steps,
+            decode_steps: base.decode_steps,
+            per_group_requests: base.per_group_requests,
+            mean_queue_depth: base.mean_queue_depth,
+            max_queue_depth: base.max_queue_depth,
+            queue_depth: base.queue_depth,
+            scale_ups: fleet.scale_ups,
+            scale_downs: fleet.scale_downs,
+            cold_starts: fleet.cold_starts,
+            cold_start_total: fleet.cold_start_total,
             chip_seconds,
-            peak_groups: extra.peak_groups,
-            transitions,
-            sim_events: extra.sim_events,
-            outcomes,
-        }
+            peak_groups: fleet.peak_groups,
+            transitions: fleet.transitions,
+            sim_events: base.sim_events,
+            outcomes: base.outcomes,
+        })
     }
-}
-
-/// Controller counters threaded from the event loop to the report.
-struct Summing {
-    sim_events: u64,
-    scale_ups: u64,
-    scale_downs: u64,
-    cold_starts: u64,
-    cold_start_total: Seconds,
-    peak_groups: usize,
 }
 
 #[cfg(test)]
@@ -849,10 +737,8 @@ mod tests {
         let mut fixed = crate::ClusterServingSim::new(
             presets::ipu_pod4(),
             ClusterServeConfig {
-                ..ClusterServeConfig {
-                    plan: ParallelismPlan::new(1, 1, 2),
-                    ..tiny_config()
-                }
+                plan: ParallelismPlan::new(1, 1, 2),
+                ..tiny_config()
             },
         )
         .expect("fixed fleet");
@@ -860,8 +746,35 @@ mod tests {
             .run(Design::ElkFull, RouterPolicy::LeastOutstanding, &trace)
             .expect("fixed run");
         assert_eq!(a.outcomes, b.outcomes, "same routing, same timelines");
+        // Every field the reports share, except `sim_events`: the
+        // controller's ticks are kernel events too.
+        assert_eq!((a.design, a.plan), (b.design, b.plan));
+        assert_eq!((a.requests, a.completed), (b.requests, b.completed));
+        assert_eq!((a.makespan, a.slo), (b.makespan, b.slo));
+        assert_eq!((&a.ttft, &a.tpot, &a.e2e), (&b.ttft, &b.tpot, &b.e2e));
         assert_eq!(a.prefill_steps, b.prefill_steps);
         assert_eq!(a.decode_steps, b.decode_steps);
+        assert_eq!(a.per_group_requests, b.per_group_requests);
+        assert_eq!(a.queue_depth, b.queue_depth);
+        assert_eq!(a.max_queue_depth, b.max_queue_depth);
+        let bits = |r: [f64; 5]| r.map(f64::to_bits);
+        assert_eq!(
+            bits([
+                a.mean_queue_depth,
+                a.slo_attainment,
+                a.goodput_rps,
+                a.throughput_rps,
+                a.tokens_per_sec
+            ]),
+            bits([
+                b.mean_queue_depth,
+                b.slo_attainment,
+                b.goodput_rps,
+                b.throughput_rps,
+                b.tokens_per_sec
+            ]),
+            "mean depth, attainment and rates must match bit for bit"
+        );
         assert_eq!(a.scale_ups, 2, "only the initial provisioning");
         assert_eq!(a.scale_downs, 0);
         assert_eq!(a.cold_starts, 0);

@@ -36,16 +36,19 @@
 //!   A single-default-class config reproduces [`ClusterServingSim`]
 //!   bit-for-bit (also pinned by a differential test).
 //!
-//! The four serving engines share two pieces. Every engine prices steps
-//! through one `StepPricer` per layout (the per-stage pipeline path plus
-//! the micro-batch fallback). The colocated engines run
-//! [`elk_serve::Group`]s, the group core that owns step dispatch, step
-//! completion, pooled queue statistics, the request summary and the
-//! request lanes. Disaggregation keeps its own two-pool groups but uses
-//! the core's decode completion, pooling, summary and lanes. What stays
-//! in each engine is what differs: arrival routing and admission,
-//! tenancy's priority insertion and shedding, the autoscaler's fleet
-//! lifecycle, and disaggregation's chunked prefill and KV handoff.
+//! The four serving engines share three pieces. Every engine prices
+//! steps through one `StepPricer` per layout and model (the per-stage
+//! pipeline path plus the micro-batch fallback). The colocated engines
+//! run [`elk_serve::Group`]s, the group core that owns step dispatch,
+//! step completion, pooled queue statistics, the request summary and
+//! the request lanes. And [`ClusterServingSim`], [`TenantServingSim`]
+//! and [`AutoscaleServingSim`] run one routed event loop — kernel,
+//! arrival routing, priority insertion, step dispatch and completion —
+//! through a front-end that adds only what differs: tenancy's
+//! admission, priorities and multi-model partition, the autoscaler's
+//! fleet lifecycle. Disaggregation keeps its own loop and two-pool
+//! groups (chunked prefill, KV handoff) but uses the core's decode
+//! completion, pooling, summary and lanes.
 //!
 //! Everything is deterministic: searches fan over [`elk_par`] with
 //! index-ordered merging and the serving event loop is sequential in

@@ -3,11 +3,11 @@
 //! through the single-flight [`PlanCache`] and composed with the
 //! stage-boundary collective cost.
 //!
-//! All four cluster engines — [`ClusterServingSim`](crate::ClusterServingSim),
-//! [`TenantServingSim`](crate::TenantServingSim),
-//! [`AutoscaleServingSim`](crate::AutoscaleServingSim) and both pools of
-//! [`DisaggServingSim`](crate::DisaggServingSim) — price steps here, so
-//! equal layouts price equal shapes to the same latency.
+//! Both cluster event loops price steps here — the routed loop of
+//! [`ClusterServingSim`](crate::ClusterServingSim), which the tenancy
+//! and autoscale front-ends also run, and both pools of
+//! [`DisaggServingSim`](crate::DisaggServingSim) — so equal layouts
+//! price equal shapes to the same latency.
 
 use std::sync::Arc;
 
@@ -37,25 +37,10 @@ pub(crate) struct StepPricer {
 }
 
 impl StepPricer {
-    /// Builds the pricer: group subpod runner, stage spans, and
-    /// boundary collective model. `threads` sizes the cache's compile
-    /// worker pool only — priced latencies are byte-identical at any
-    /// setting.
-    pub fn new(
-        system: &SystemConfig,
-        model: TransformerConfig,
-        plan: ParallelismPlan,
-        sim: SimOptions,
-        threads: usize,
-    ) -> Self {
-        let cache = Arc::new(PlanCache::new().with_threads(threads));
-        StepPricer::with_cache(system, model, plan, sim, cache)
-    }
-
-    /// [`new`](Self::new) against an externally owned cache: pricers
-    /// for different plans of the same model (the disaggregated pools)
-    /// share one single-flight cache, so a stage shape compiled for one
-    /// pool is a hit for the other. Cache keys carry the tp degree and
+    /// Builds the pricer on `cache`: group subpod runner, stage spans,
+    /// and boundary collective model. Pricers of several models or
+    /// plans share one cache, so a stage shape compiled for one is a
+    /// hit for the others; keys carry the model name, the tp degree and
     /// the workload phase, so distinct layouts never collide.
     pub fn with_cache(
         system: &SystemConfig,

@@ -19,6 +19,17 @@
 //! `DesignRunner` path (cached per stage *shape*, so equal-sized
 //! interior stages compile once), plus the stage-boundary transfer
 //! priced on the [`CollectiveModel`].
+//!
+//! The event loop here is the only one the routed colocated engines
+//! have: [`TenantServingSim`](crate::TenantServingSim) and
+//! [`AutoscaleServingSim`](crate::AutoscaleServingSim) run it through a
+//! [`Front`] that adds only what differs — admission and priorities,
+//! or the fleet lifecycle.
+//!
+//! [`PlanCache`]: elk_serve::PlanCache
+//! [`CollectiveModel`]: elk_hw::CollectiveModel
+
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -27,8 +38,8 @@ use elk_hw::SystemConfig;
 use elk_model::TransformerConfig;
 use elk_obs::Obs;
 use elk_serve::{
-    record_requests, BatchConfig, Group, LatencyStats, PoolSummary, RequestOutcome, RequestSummary,
-    RequestTrace, Router, RouterPolicy, SloConfig,
+    record_requests, BatchConfig, Group, LatencyStats, PlanCache, PoolSummary, RequestOutcome,
+    RequestSummary, RequestTrace, Router, RouterPolicy, SloConfig,
 };
 use elk_sim::SimOptions;
 use elk_sim_core::{EventQueue, PRIO_ARRIVAL, PRIO_STEP_DONE};
@@ -135,15 +146,103 @@ pub struct ClusterServingReport {
     pub outcomes: Vec<RequestOutcome>,
 }
 
-/// Typed events on the cluster's shared simulation timeline.
-enum Ev {
+/// Typed events on the shared routed timeline: the two every front-end
+/// fires, plus the front-end's own.
+pub(crate) enum Ev<X> {
     /// The request at this trace index reaches the front-end router.
     Arrival(usize),
     /// This group's in-flight scheduler step completes.
-    StepDone {
-        /// Index of the group whose step finished.
-        gid: usize,
-    },
+    StepDone(usize),
+    /// An event of the front-end (see [`Front::Event`]).
+    Front(X),
+}
+
+/// The kernel a front-end `F` schedules on.
+pub(crate) type Queue<F> = EventQueue<Ev<<F as Front>::Event>>;
+
+/// What a front-end adds to the shared routed loop. Every provided
+/// hook is the plain engine's behaviour, so [`Open`] overrides none.
+pub(crate) trait Front {
+    /// The front-end's own events.
+    type Event;
+    /// The kernel track the loop's dispatch spans land on.
+    const TRACK: &'static str;
+    /// The priority step completions fire at.
+    const STEP_DONE: u8 = PRIO_STEP_DONE;
+
+    /// Dispatch labels of the kernel's priority levels.
+    fn classes(&self) -> Vec<(u8, &'static str)> {
+        vec![(PRIO_ARRIVAL, "arrival"), (Self::STEP_DONE, "step_done")]
+    }
+
+    /// The priority request `idx` arrives at and queues by: a group's
+    /// waiting queue stays sorted by it, FIFO among equals.
+    fn priority(&self, _idx: usize) -> u8 {
+        PRIO_ARRIVAL
+    }
+
+    /// The model (pricer index) serving request `idx`.
+    fn model(&self, _idx: usize) -> usize {
+        0
+    }
+
+    /// Schedules the front-end's opening events, after every arrival.
+    fn open(&mut self, _q: &mut Queue<Self>) {}
+
+    /// Whether request `idx`, first offered at `q.now()`, is routed
+    /// now.
+    fn admit(&mut self, _q: &mut Queue<Self>, _idx: usize) -> bool {
+        true
+    }
+
+    /// Handles a front-end event at `q.now()`; `Some(idx)` routes
+    /// request `idx`.
+    fn handle(&mut self, _: &mut Queue<Self>, _: &[Group], _: Self::Event) -> Option<usize> {
+        None
+    }
+
+    /// Whether group `gid` takes new arrivals. The loop masks the
+    /// others out of the router's outstanding counts, which is exact
+    /// for [`RouterPolicy::LeastOutstanding`].
+    fn routable(&self, _gid: usize) -> bool {
+        true
+    }
+
+    /// The total waiting depth over all groups changed to `waiting`.
+    fn waiting(&mut self, _now: Seconds, _waiting: usize) {}
+
+    /// A request finished.
+    fn completed(&mut self, _outcome: &RequestOutcome) {}
+
+    /// Group `gid` had no step to start at `now`.
+    fn idle(&mut self, _gid: usize, _now: Seconds, _group: &Group) {}
+}
+
+/// The plain routed engine's front-end: every arrival is admitted.
+pub(crate) struct Open;
+
+impl Front for Open {
+    type Event = std::convert::Infallible;
+    const TRACK: &'static str = "cluster/kernel";
+}
+
+/// What the shared loop leaves for a front-end to summarize.
+pub(crate) struct Replay {
+    pub groups: Vec<Group>,
+    /// In trace order; `None` for a request that never ran.
+    pub outcomes: Vec<Option<RequestOutcome>>,
+    /// Kernel events fired and the peak heap length.
+    pub kernel: (u64, usize),
+}
+
+impl Replay {
+    /// The outcomes of a run that drains every request.
+    pub fn all_outcomes(&mut self) -> Vec<RequestOutcome> {
+        let outcomes = std::mem::take(&mut self.outcomes).into_iter();
+        outcomes
+            .map(|o| o.expect("the drain completes every request"))
+            .collect()
+    }
 }
 
 /// Trace-driven cluster serving simulator for one (pod, model, plan).
@@ -155,8 +254,9 @@ enum Ev {
 #[derive(Debug)]
 pub struct ClusterServingSim {
     config: ClusterServeConfig,
-    pricer: StepPricer,
-    obs: Obs,
+    /// One pricer per served model, all over one plan cache.
+    pub(crate) pricers: Vec<StepPricer>,
+    pub(crate) obs: Obs,
 }
 
 impl ClusterServingSim {
@@ -170,20 +270,36 @@ impl ClusterServingSim {
     /// merely leaves the extra groups idle.
     pub fn new(system: SystemConfig, config: ClusterServeConfig) -> Result<Self, ClusterError> {
         config.batch.validate();
-        config
-            .plan
-            .validate_structure(&system, &config.model)
-            .map_err(ClusterError::Invalid)?;
-        let pricer = StepPricer::new(
-            &system,
-            config.model.clone(),
-            config.plan,
-            config.sim,
-            config.threads,
-        );
+        let model = [config.model.clone()];
+        ClusterServingSim::serving(&system, config, &model)
+    }
+
+    /// A simulator serving `models` (index 0 first) on `config.plan`'s
+    /// groups, after checking the plan fits each. Pricers share one
+    /// single-flight cache: keys carry the model name, so distinct
+    /// models share compile work without collisions.
+    pub(crate) fn serving(
+        system: &SystemConfig,
+        config: ClusterServeConfig,
+        models: &[TransformerConfig],
+    ) -> Result<Self, ClusterError> {
+        for model in models {
+            config
+                .plan
+                .validate_structure(system, model)
+                .map_err(ClusterError::Invalid)?;
+        }
+        let cache = Arc::new(PlanCache::new().with_threads(config.threads));
+        let pricers = models
+            .iter()
+            .map(|m| {
+                let cache = Arc::clone(&cache);
+                StepPricer::with_cache(system, m.clone(), config.plan, config.sim, cache)
+            })
+            .collect();
         Ok(ClusterServingSim {
-            pricer,
             config,
+            pricers,
             obs: Obs::null(),
         })
     }
@@ -207,7 +323,7 @@ impl ClusterServingSim {
     /// compile worker count.
     #[must_use]
     pub fn cache_stats(&self) -> elk_serve::CacheStats {
-        self.pricer.cache_stats()
+        self.pricers[0].cache_stats()
     }
 
     /// Serves `trace` under `design`, dispatching with `policy`, and
@@ -223,37 +339,77 @@ impl ClusterServingSim {
         policy: RouterPolicy,
         trace: &RequestTrace,
     ) -> Result<ClusterServingReport, ClusterError> {
-        let dp = self.config.plan.dp as usize;
-        let mut router = Router::new(policy, dp);
-        let mut groups: Vec<Group> = (0..dp).map(|_| Group::default()).collect();
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let reqs = &trace.requests;
-
-        // One shared kernel timeline: arrivals and every group's step
-        // completions interleave in global `(time, priority, seq)`
-        // order, so the router observes exactly the state a front-end
-        // would see at the arrival instant.
-        let stats_before = self.pricer.cache_stats();
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        q.observe(
-            self.obs.clone(),
-            "cluster/kernel",
-            &[(PRIO_ARRIVAL, "arrival"), (PRIO_STEP_DONE, "step_done")],
-        );
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, PRIO_ARRIVAL, Ev::Arrival(idx));
+        let stats_before = self.cache_stats();
+        let mut run = self.replay(&mut Open, design, policy, trace)?;
+        let outcomes = run.all_outcomes();
+        if self.obs.enabled() {
+            let d = self.cache_stats().since(stats_before);
+            self.obs.counter("cluster.cache.lookups", d.hits + d.misses);
         }
+        record_requests(&self.obs, "cluster", "group", &outcomes);
+        Ok(self.summarize(design, policy, trace, run, outcomes))
+    }
+
+    /// The routed loop every colocated cluster front-end runs: one
+    /// shared kernel timeline on which arrivals and every group's step
+    /// completions interleave in global `(time, priority, seq)` order,
+    /// so the router observes exactly the state a front-end would see
+    /// at the arrival instant. Groups are partitioned round-robin
+    /// across the served models, with one `policy` router per model.
+    pub(crate) fn replay<F: Front>(
+        &self,
+        front: &mut F,
+        design: Design,
+        policy: RouterPolicy,
+        trace: &RequestTrace,
+    ) -> Result<Replay, ClusterError> {
+        let reqs = &trace.requests;
+        let dp = self.config.plan.dp as usize;
+        let models = self.pricers.len();
+        let model_groups: Vec<Vec<usize>> = (0..models)
+            .map(|m| (0..dp).filter(|g| g % models == m).collect())
+            .collect();
+        let mut routers: Vec<Router> = model_groups
+            .iter()
+            .map(|gs| Router::new(policy, gs.len()))
+            .collect();
+        let mut groups: Vec<Group> = (0..dp).map(|_| Group::default()).collect();
+        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; reqs.len()];
+        let mut outstanding: Vec<usize> = Vec::with_capacity(dp);
+        let mut waiting = 0usize;
+
+        let mut q: Queue<F> = EventQueue::new();
+        q.observe(self.obs.clone(), F::TRACK, &front.classes());
+        for (idx, req) in reqs.iter().enumerate() {
+            q.schedule(req.arrival, front.priority(idx), Ev::Arrival(idx));
+        }
+        front.open(&mut q);
 
         while let Some(fired) = q.pop() {
             let now = q.now();
-            match fired.event {
-                Ev::Arrival(idx) => {
-                    let outstanding: Vec<usize> = groups.iter().map(Group::outstanding).collect();
-                    groups[router.route(&outstanding)].enqueue(now, idx);
+            let offered = match fired.event {
+                Ev::Arrival(idx) => front.admit(&mut q, idx).then_some(idx),
+                Ev::StepDone(gid) => {
+                    groups[gid].finish_step(gid, now, reqs, &mut outcomes, |o| front.completed(o));
+                    None
                 }
-                Ev::StepDone { gid } => {
-                    groups[gid].finish_step(gid, now, reqs, &mut outcomes, |_| {});
-                }
+                Ev::Front(event) => front.handle(&mut q, &groups, event),
+            };
+            if let Some(idx) = offered {
+                let m = front.model(idx);
+                let load = |g: usize| front.routable(g).then(|| groups[g].outstanding());
+                outstanding.clear();
+                outstanding.extend(
+                    model_groups[m]
+                        .iter()
+                        .map(|&g| load(g).unwrap_or(usize::MAX)),
+                );
+                let gid = model_groups[m][routers[m].route(&outstanding)];
+                debug_assert!(front.routable(gid), "routed to a masked group");
+                let prio = front.priority(idx);
+                groups[gid].enqueue_before(now, idx, |w| front.priority(w) > prio);
+                waiting += 1;
+                front.waiting(now, waiting);
             }
             // Defer dispatch until every event at this instant has
             // fired, then scan groups in index order (deterministic).
@@ -261,74 +417,66 @@ impl ClusterServingSim {
                 continue;
             }
             for (gid, group) in groups.iter_mut().enumerate() {
-                let price = |wl| self.pricer.split_step(design, wl);
-                if let Some((latency, _)) =
-                    group.start_step(now, &self.config.batch, reqs, price)?
-                {
-                    q.schedule_after(latency, PRIO_STEP_DONE, Ev::StepDone { gid });
+                let price = |wl| self.pricers[gid % models].split_step(design, wl);
+                match group.start_step(now, &self.config.batch, reqs, price)? {
+                    Some((latency, admitted)) => {
+                        if admitted > 0 {
+                            waiting -= admitted;
+                            front.waiting(now, waiting);
+                        }
+                        q.schedule_after(latency, F::STEP_DONE, Ev::StepDone(gid));
+                    }
+                    None => front.idle(gid, now, group),
                 }
             }
         }
-
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("the drain completes every request"))
-            .collect();
-        if self.obs.enabled() {
-            let d = self.pricer.cache_stats().since(stats_before);
-            self.obs.counter("cluster.cache.lookups", d.hits + d.misses);
-        }
-        record_requests(&self.obs, "cluster", "group", &outcomes);
-        Ok(summarize_groups(
-            &self.config,
-            design,
-            policy,
-            trace.len(),
+        Ok(Replay {
             groups,
             outcomes,
-            (q.events_processed(), q.peak_len()),
-        ))
+            kernel: (q.events_processed(), q.peak_len()),
+        })
     }
-}
 
-/// Folds a routed run into the cluster report. Shared by the plain
-/// cluster engine and the tenancy engine, whose outcome list may be
-/// shorter than the trace's `requests` (rejected requests never run).
-pub(crate) fn summarize_groups(
-    config: &ClusterServeConfig,
-    design: Design,
-    policy: RouterPolicy,
-    requests: usize,
-    groups: Vec<Group>,
-    outcomes: Vec<RequestOutcome>,
-    (sim_events, peak_event_queue_len): (u64, usize),
-) -> ClusterServingReport {
-    let pool = PoolSummary::of(groups.into_iter().map(|g| g.stats));
-    let summary = RequestSummary::of(&outcomes, config.slo, pool.makespan);
-    ClusterServingReport {
-        design,
-        policy,
-        plan: config.plan,
-        requests,
-        completed: outcomes.len(),
-        makespan: pool.makespan,
-        ttft: summary.ttft,
-        tpot: summary.tpot,
-        e2e: summary.e2e,
-        slo: summary.slo,
-        slo_attainment: summary.slo_attainment,
-        goodput_rps: summary.goodput_rps,
-        throughput_rps: summary.throughput_rps,
-        tokens_per_sec: summary.tokens_per_sec,
-        prefill_steps: pool.prefill_steps,
-        decode_steps: pool.decode_steps,
-        per_group_requests: pool.per_group_requests,
-        mean_queue_depth: pool.mean_queue_depth,
-        max_queue_depth: pool.max_queue_depth,
-        queue_depth: pool.queue_depth,
-        sim_events,
-        peak_event_queue_len,
-        outcomes,
+    /// Folds a routed run into the cluster report. `outcomes` are the
+    /// completed requests: fewer than the trace's when some were
+    /// rejected.
+    pub(crate) fn summarize(
+        &self,
+        design: Design,
+        policy: RouterPolicy,
+        trace: &RequestTrace,
+        run: Replay,
+        outcomes: Vec<RequestOutcome>,
+    ) -> ClusterServingReport {
+        let config = &self.config;
+        let pool = PoolSummary::of(run.groups.into_iter().map(|g| g.stats));
+        let (sim_events, peak_event_queue_len) = run.kernel;
+        let summary = RequestSummary::of(&outcomes, config.slo, pool.makespan);
+        ClusterServingReport {
+            design,
+            policy,
+            plan: config.plan,
+            requests: trace.len(),
+            completed: outcomes.len(),
+            makespan: pool.makespan,
+            ttft: summary.ttft,
+            tpot: summary.tpot,
+            e2e: summary.e2e,
+            slo: summary.slo,
+            slo_attainment: summary.slo_attainment,
+            goodput_rps: summary.goodput_rps,
+            throughput_rps: summary.throughput_rps,
+            tokens_per_sec: summary.tokens_per_sec,
+            prefill_steps: pool.prefill_steps,
+            decode_steps: pool.decode_steps,
+            per_group_requests: pool.per_group_requests,
+            mean_queue_depth: pool.mean_queue_depth,
+            max_queue_depth: pool.max_queue_depth,
+            queue_depth: pool.queue_depth,
+            sim_events,
+            peak_event_queue_len,
+            outcomes,
+        }
     }
 }
 

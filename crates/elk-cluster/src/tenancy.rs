@@ -1,9 +1,8 @@
 //! Multi-tenant cluster serving: SLO classes, admission control, and
 //! priority-aware scheduling over the routed replay engine.
 //!
-//! [`TenantServingSim`] runs the same [`elk_serve::Group`] core as
-//! [`ClusterServingSim`](crate::ClusterServingSim) with three tenancy
-//! layers in front of it:
+//! [`TenantServingSim`] runs the routed loop of
+//! [`ClusterServingSim`] with three tenancy layers in front of it:
 //!
 //! * **Admission control at the router** — each tenant draws from a
 //!   deterministic [`TokenBucket`] parameterized by its class
@@ -22,14 +21,15 @@
 //! * **Multi-model pods** — a class may name a model-zoo alias; the
 //!   pod's `dp` groups are partitioned round-robin across the distinct
 //!   models, each model gets its own router over its groups, and all
-//!   per-model pricers share one single-flight [`PlanCache`] (cache
-//!   keys carry the model name, so entries never collide).
+//!   per-model pricers share one single-flight
+//!   [`PlanCache`](elk_serve::PlanCache) (cache keys carry the model
+//!   name, so entries never collide).
 //!
 //! Every disposition is terminal and disjoint — `admitted + rejected +
 //! deferred == arrivals`, per tenant — and the emitted report stays
 //! byte-identical at any thread count.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 use serde::Serialize;
 
@@ -38,21 +38,14 @@ use elk_hw::SystemConfig;
 use elk_model::{zoo, TransformerConfig};
 use elk_obs::Obs;
 use elk_serve::{
-    jain_index, record_requests, Group, PlanCache, RequestOutcome, RequestSummary, RequestTrace,
-    Router, RouterPolicy, ShedPolicy, TenancyConfig, TenantReport, TokenBucket, MAX_CLASS_PRIORITY,
+    jain_index, record_requests, Group, RequestOutcome, RequestSummary, RequestTrace, RouterPolicy,
+    ShedPolicy, TenancyConfig, TenantReport, TokenBucket, MAX_CLASS_PRIORITY,
 };
-use elk_sim_core::{EventQueue, QueueStat};
+use elk_sim_core::QueueStat;
 use elk_units::Seconds;
 
-use crate::pricing::StepPricer;
-use crate::serve::{summarize_groups, ClusterServeConfig, ClusterServingReport};
+use crate::serve::{ClusterServeConfig, ClusterServingReport, ClusterServingSim, Ev, Front, Queue};
 use crate::ClusterError;
-
-/// Priority band for the tenancy engine's step completions: strictly
-/// above every admissible class priority, so an arrival can never
-/// overtake a completion at the same instant (mirroring the plain
-/// engine's `PRIO_ARRIVAL < PRIO_STEP_DONE` ordering).
-const PRIO_TENANT_STEP_DONE: u8 = MAX_CLASS_PRIORITY + 1;
 
 /// Aggregated result of one multi-tenant cluster serving run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -74,19 +67,6 @@ pub struct TenancyServingReport {
     pub jain_fairness: f64,
 }
 
-/// Typed events on the tenancy engine's shared timeline.
-enum Ev {
-    /// The request at this trace index reaches the front-end router.
-    Arrival(usize),
-    /// A shed-deferred request is re-offered (served unconditionally).
-    Deferred(usize),
-    /// This group's in-flight scheduler step completes.
-    StepDone {
-        /// Index of the group whose step finished.
-        gid: usize,
-    },
-}
-
 /// Terminal admission disposition of one request.
 #[derive(Clone, Copy, PartialEq)]
 enum Disposition {
@@ -95,21 +75,104 @@ enum Disposition {
     Deferred,
 }
 
+/// Tenancy's front-end on the routed loop, for one run.
+struct Admission<'a> {
+    tenancy: &'a TenancyConfig,
+    /// For each class, the model serving it.
+    class_model: &'a [usize],
+    /// Each request's tenant index.
+    tix: Vec<usize>,
+    /// Each tenant's class index.
+    tenant_class: Vec<usize>,
+    /// Each request's class priority.
+    req_prio: Vec<u8>,
+    /// Per-tenant token buckets (`None` = the class is unlimited).
+    buckets: Vec<Option<TokenBucket>>,
+    /// Each request's disposition, once it first arrived.
+    disposition: Vec<Option<Disposition>>,
+    /// Pooled waiting depth for the load shedder: a time-weighted
+    /// integral over every group's waiting queue together.
+    shed_depth: QueueStat,
+}
+
+impl Front for Admission<'_> {
+    /// A shed-deferred request is re-offered.
+    type Event = usize;
+    const TRACK: &'static str = "tenancy/kernel";
+    /// Strictly above every admissible class priority, so an arrival
+    /// can never overtake a completion at the same instant (mirroring
+    /// the plain engine's `PRIO_ARRIVAL < PRIO_STEP_DONE` ordering).
+    const STEP_DONE: u8 = MAX_CLASS_PRIORITY + 1;
+
+    /// Every admissible class priority dispatches as an "arrival"
+    /// (deferred re-offers included); only the reserved band above
+    /// them is a step completion.
+    fn classes(&self) -> Vec<(u8, &'static str)> {
+        let arrivals: BTreeSet<u8> = self.req_prio.iter().copied().collect();
+        let mut classes: Vec<_> = arrivals.into_iter().map(|p| (p, "arrival")).collect();
+        classes.push((Self::STEP_DONE, "step_done"));
+        classes
+    }
+
+    fn priority(&self, idx: usize) -> u8 {
+        self.req_prio[idx]
+    }
+
+    fn model(&self, idx: usize) -> usize {
+        self.class_model[self.tenant_class[self.tix[idx]]]
+    }
+
+    fn admit(&mut self, q: &mut Queue<Self>, idx: usize) -> bool {
+        let (tenancy, now) = (self.tenancy, q.now());
+        let class = &tenancy.classes[self.tenant_class[self.tix[idx]]];
+        let shed = tenancy.shed_queue_depth.and_then(|threshold| {
+            if !class.sheddable || now.as_secs() <= 0.0 {
+                return None;
+            }
+            let mean = self.shed_depth.area_until(now) / now.as_secs();
+            (mean > threshold).then_some(tenancy.shed_policy)
+        });
+        let admitted_by_bucket = self.buckets[self.tix[idx]]
+            .as_mut()
+            .is_none_or(|b| b.try_take(now));
+        let d = match shed {
+            _ if !admitted_by_bucket => Disposition::Rejected,
+            Some(ShedPolicy::Reject) => Disposition::Rejected,
+            Some(ShedPolicy::Defer) => {
+                let delay = Seconds::new(tenancy.defer_s);
+                q.schedule_after(delay, self.req_prio[idx], Ev::Front(idx));
+                Disposition::Deferred
+            }
+            None => Disposition::Admitted,
+        };
+        self.disposition[idx] = Some(d);
+        d == Disposition::Admitted
+    }
+
+    /// One-shot backpressure: the re-offer is served unconditionally
+    /// (its disposition stays Deferred).
+    fn handle(&mut self, _: &mut Queue<Self>, _: &[Group], idx: usize) -> Option<usize> {
+        Some(idx)
+    }
+
+    fn waiting(&mut self, now: Seconds, waiting: usize) {
+        self.shed_depth.record(now, waiting);
+    }
+}
+
 /// Trace-driven multi-tenant serving simulator for one pod.
 ///
 /// Owns one `StepPricer` per distinct class model, all sharing a
-/// single-flight [`PlanCache`], so runs across designs, policies, and
-/// models reuse compiled stages.
+/// single-flight [`PlanCache`](elk_serve::PlanCache), so runs across
+/// designs, policies, and models reuse compiled stages.
 #[derive(Debug)]
 pub struct TenantServingSim {
-    config: ClusterServeConfig,
+    sim: ClusterServingSim,
     tenancy: TenancyConfig,
     /// Distinct models served by the pod; index 0 is the base model.
     models: Vec<TransformerConfig>,
     /// For each class, the index into `models` it is served by.
     class_model: Vec<usize>,
-    pricers: Vec<StepPricer>,
-    obs: Obs,
 }
 
 impl TenantServingSim {
@@ -140,13 +203,11 @@ impl TenantServingSim {
                 Some(alias) => {
                     let mut resolved = zoo::by_name(alias).map_err(ClusterError::Invalid)?;
                     resolved.layers = config.model.layers;
-                    match models.iter().position(|m| m.name == resolved.name) {
-                        Some(i) => i,
-                        None => {
-                            models.push(resolved);
-                            models.len() - 1
-                        }
-                    }
+                    let known = models.iter().position(|m| m.name == resolved.name);
+                    known.unwrap_or_else(|| {
+                        models.push(resolved);
+                        models.len() - 1
+                    })
                 }
             };
             class_model.push(idx);
@@ -158,35 +219,11 @@ impl TenantServingSim {
                 models.len()
             )));
         }
-        for model in &models {
-            config
-                .plan
-                .validate_structure(&system, model)
-                .map_err(ClusterError::Invalid)?;
-        }
-        // One pricer per model over one shared single-flight cache:
-        // keys carry the model name, so multi-model pods share compile
-        // work without collisions.
-        let cache = Arc::new(PlanCache::new().with_threads(config.threads));
-        let pricers = models
-            .iter()
-            .map(|m| {
-                StepPricer::with_cache(
-                    &system,
-                    m.clone(),
-                    config.plan,
-                    config.sim,
-                    Arc::clone(&cache),
-                )
-            })
-            .collect();
         Ok(TenantServingSim {
-            config,
+            sim: ClusterServingSim::serving(&system, config, &models)?,
             tenancy,
             models,
             class_model,
-            pricers,
-            obs: Obs::null(),
         })
     }
 
@@ -195,13 +232,13 @@ impl TenantServingSim {
     /// tenant-tagged disposition markers (admitted / rejected /
     /// deferred) on each sampled request's lane.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+        self.sim.set_obs(obs);
     }
 
     /// The serve configuration.
     #[must_use]
     pub fn config(&self) -> &ClusterServeConfig {
-        &self.config
+        self.sim.config()
     }
 
     /// The tenancy policy.
@@ -219,7 +256,7 @@ impl TenantServingSim {
     /// Cumulative plan-cache counters (across all runs and models).
     #[must_use]
     pub fn cache_stats(&self) -> elk_serve::CacheStats {
-        self.pricers[0].cache_stats()
+        self.sim.cache_stats()
     }
 
     /// Serves `trace` under `design`, dispatching each model's share of
@@ -250,197 +287,58 @@ impl TenantServingSim {
                 trace.len()
             )));
         }
-        let reqs = &trace.requests;
-
         // Distinct tenants in first-appearance order, plus each
         // request's tenant index. Untagged traces collapse to one
         // "default" tenant.
-        let default_tenant = ["default".to_string()];
-        let named: &[String] = if tenants.is_empty() && !reqs.is_empty() {
-            &default_tenant
-        } else {
-            tenants
-        };
         let mut tenant_ids: Vec<String> = Vec::new();
-        let tix: Vec<usize> = (0..reqs.len())
+        let tix: Vec<usize> = (0..trace.len())
             .map(|i| {
-                let name = if tenants.is_empty() {
-                    &named[0]
-                } else {
-                    &named[i]
-                };
-                match tenant_ids.iter().position(|t| t == name) {
-                    Some(p) => p,
-                    None => {
-                        tenant_ids.push(name.clone());
+                let name = tenants.get(i).map_or("default", String::as_str);
+                tenant_ids
+                    .iter()
+                    .position(|t| t == name)
+                    .unwrap_or_else(|| {
+                        tenant_ids.push(name.to_string());
                         tenant_ids.len() - 1
-                    }
-                }
+                    })
             })
             .collect();
+        let classes = &self.tenancy.classes;
         let tenant_class: Vec<usize> = tenant_ids
             .iter()
             .map(|t| self.tenancy.class_index_of(t))
             .collect();
-        let req_prio: Vec<u8> = tix
-            .iter()
-            .map(|&t| self.tenancy.classes[tenant_class[t]].priority)
-            .collect();
+        let mut front = Admission {
+            tenancy: &self.tenancy,
+            class_model: &self.class_model,
+            req_prio: tix
+                .iter()
+                .map(|&t| classes[tenant_class[t]].priority)
+                .collect(),
+            buckets: tenant_class
+                .iter()
+                .map(|&c| {
+                    classes[c]
+                        .rate_rps
+                        .map(|r| TokenBucket::new(r, classes[c].burst))
+                })
+                .collect(),
+            disposition: vec![None; trace.len()],
+            shed_depth: QueueStat::new(),
+            tix,
+            tenant_class,
+        };
+        let mut run = self.sim.replay(&mut front, design, policy, trace)?;
 
-        // Per-tenant token buckets (None = the class is unlimited).
-        let mut buckets: Vec<Option<TokenBucket>> = tenant_class
-            .iter()
-            .map(|&c| {
-                let class = &self.tenancy.classes[c];
-                class.rate_rps.map(|r| TokenBucket::new(r, class.burst))
-            })
-            .collect();
-
-        // Group partition: groups round-robin across distinct models,
-        // one router per model over its own groups.
-        let dp = self.config.plan.dp as usize;
-        let n_models = self.models.len();
-        let model_groups: Vec<Vec<usize>> = (0..n_models)
-            .map(|m| (0..dp).filter(|g| g % n_models == m).collect())
-            .collect();
-        let group_model: Vec<usize> = (0..dp).map(|g| g % n_models).collect();
-        let mut routers: Vec<Router> = model_groups
-            .iter()
-            .map(|gs| Router::new(policy, gs.len()))
-            .collect();
-
-        let mut groups: Vec<Group> = (0..dp).map(|_| Group::default()).collect();
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; reqs.len()];
-        let mut disposition: Vec<Option<Disposition>> = vec![None; reqs.len()];
-
-        // Pooled waiting depth for the load shedder: a time-weighted
-        // integral over every group's waiting queue together.
-        let mut shed_depth = QueueStat::new();
-        let mut total_waiting: usize = 0;
-
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        // Every admissible class priority dispatches as an "arrival"
-        // (deferred re-offers included); only the reserved band above
-        // them is a step completion.
-        let mut classes: Vec<(u8, &str)> = req_prio
-            .iter()
-            .map(|&p| (p, "arrival"))
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        classes.push((PRIO_TENANT_STEP_DONE, "step_done"));
-        q.observe(self.obs.clone(), "tenancy/kernel", &classes);
-        for (idx, req) in reqs.iter().enumerate() {
-            q.schedule(req.arrival, req_prio[idx], Ev::Arrival(idx));
-        }
-
-        while let Some(fired) = q.pop() {
-            let now = q.now();
-            let admitted = match fired.event {
-                Ev::Arrival(idx) => {
-                    let class = &self.tenancy.classes[tenant_class[tix[idx]]];
-                    let shed = self.tenancy.shed_queue_depth.and_then(|threshold| {
-                        if !class.sheddable || now.as_secs() <= 0.0 {
-                            return None;
-                        }
-                        let mean = shed_depth.area_until(now) / now.as_secs();
-                        (mean > threshold).then_some(self.tenancy.shed_policy)
-                    });
-                    let admitted_by_bucket =
-                        buckets[tix[idx]].as_mut().is_none_or(|b| b.try_take(now));
-                    let d = match shed {
-                        _ if !admitted_by_bucket => Disposition::Rejected,
-                        Some(ShedPolicy::Reject) => Disposition::Rejected,
-                        Some(ShedPolicy::Defer) => {
-                            q.schedule_after(
-                                Seconds::new(self.tenancy.defer_s),
-                                req_prio[idx],
-                                Ev::Deferred(idx),
-                            );
-                            Disposition::Deferred
-                        }
-                        None => Disposition::Admitted,
-                    };
-                    disposition[idx] = Some(d);
-                    (d == Disposition::Admitted).then_some(idx)
-                }
-                // One-shot backpressure: the re-offer is served
-                // unconditionally (its disposition stays Deferred).
-                Ev::Deferred(idx) => Some(idx),
-                Ev::StepDone { gid } => {
-                    groups[gid].finish_step(gid, now, reqs, &mut outcomes, |_| {});
-                    None
-                }
-            };
-            if let Some(idx) = admitted {
-                // Route to the model's groups (per the policy) and
-                // insert priority-first: before the first strictly-
-                // lower-priority entry (larger number = lower priority),
-                // after every equal-priority one — FIFO inside a class.
-                // With one class this is exactly a push, preserving the
-                // plain engine's order.
-                let model = self.class_model[tenant_class[tix[idx]]];
-                let outstanding: Vec<usize> = model_groups[model]
-                    .iter()
-                    .map(|&g| groups[g].outstanding())
-                    .collect();
-                let gid = model_groups[model][routers[model].route(&outstanding)];
-                let prio = req_prio[idx];
-                groups[gid].enqueue_before(now, idx, |w| req_prio[w] > prio);
-                total_waiting += 1;
-                shed_depth.record(now, total_waiting);
-            }
-            // Defer dispatch until every event at this instant has
-            // fired, then scan groups in index order (deterministic).
-            if q.peek_time() == Some(now) {
-                continue;
-            }
-            for (gid, group) in groups.iter_mut().enumerate() {
-                let price = |wl| self.pricers[group_model[gid]].split_step(design, wl);
-                if let Some((latency, admitted)) =
-                    group.start_step(now, &self.config.batch, reqs, price)?
-                {
-                    if admitted > 0 {
-                        total_waiting -= admitted;
-                        shed_depth.record(now, total_waiting);
-                    }
-                    q.schedule_after(latency, PRIO_TENANT_STEP_DONE, Ev::StepDone { gid });
-                }
-            }
-        }
-
-        Ok(self.summarize(
-            design,
-            policy,
-            trace,
-            &tenant_ids,
-            &tix,
-            &tenant_class,
-            &disposition,
-            outcomes,
-            groups,
-            (q.events_processed(), q.peak_len()),
-        ))
-    }
-
-    /// Folds the run into the tenancy report: the base aggregate plus
-    /// per-tenant slices and the fairness index.
-    #[allow(clippy::too_many_arguments)]
-    fn summarize(
-        &self,
-        design: Design,
-        policy: RouterPolicy,
-        trace: &RequestTrace,
-        tenant_ids: &[String],
-        tix: &[usize],
-        tenant_class: &[usize],
-        disposition: &[Option<Disposition>],
-        outcomes: Vec<Option<RequestOutcome>>,
-        groups: Vec<Group>,
-        sim_events: (u64, usize),
-    ) -> TenancyServingReport {
+        // Fold the run into the base aggregate plus per-tenant slices
+        // and the fairness index.
         let reqs = &trace.requests;
-        if self.obs.enabled() {
+        let obs = &self.sim.obs;
+        let outcomes = &std::mem::take(&mut run.outcomes);
+        let (tix, disposition) = (&front.tix, &front.disposition);
+        let tenant_ids = &tenant_ids;
+        let class_of = |t: usize| &self.tenancy.classes[front.tenant_class[t]];
+        if obs.enabled() {
             // Tenant-tagged disposition markers on each sampled
             // request's lane: the arrival→admission leg of the path.
             for (idx, d) in disposition.iter().enumerate() {
@@ -450,16 +348,16 @@ impl TenantServingSim {
                     Disposition::Rejected => "rejected",
                     Disposition::Deferred => "deferred",
                 };
-                self.obs.counter(&format!("tenancy.{name}"), 1);
-                if !self.obs.sampled(idx) {
+                obs.counter(&format!("tenancy.{name}"), 1);
+                if !obs.sampled(idx) {
                     continue;
                 }
                 let t = tix[idx];
                 let args = [
                     ("tenant", tenant_ids[t].clone()),
-                    ("class", self.tenancy.classes[tenant_class[t]].name.clone()),
+                    ("class", class_of(t).name.clone()),
                 ];
-                self.obs.instant(
+                obs.instant(
                     &format!("req/{}", reqs[idx].id),
                     name,
                     reqs[idx].arrival,
@@ -467,25 +365,13 @@ impl TenantServingSim {
                 );
             }
         }
-        for (idx, d) in disposition.iter().enumerate() {
+        for (d, o) in disposition.iter().zip(outcomes) {
             let d = d.expect("every arrival fired");
-            debug_assert_eq!(
-                outcomes[idx].is_some(),
-                d != Disposition::Rejected,
-                "request {idx}: disposition and completion must agree"
-            );
+            debug_assert_eq!(o.is_some(), d != Disposition::Rejected);
         }
         let completed: Vec<RequestOutcome> = outcomes.iter().filter_map(|o| *o).collect();
-        record_requests(&self.obs, "cluster", "group", &completed);
-        let base = summarize_groups(
-            &self.config,
-            design,
-            policy,
-            trace.len(),
-            groups,
-            completed,
-            sim_events,
-        );
+        record_requests(obs, "cluster", "group", &completed);
+        let base = self.sim.summarize(design, policy, trace, run, completed);
 
         let count = |t: usize, want: Disposition| {
             disposition
@@ -498,7 +384,7 @@ impl TenantServingSim {
             .iter()
             .enumerate()
             .map(|(t, tenant)| {
-                let class = &self.tenancy.classes[tenant_class[t]];
+                let class = class_of(t);
                 let done: Vec<RequestOutcome> = outcomes
                     .iter()
                     .enumerate()
@@ -523,14 +409,14 @@ impl TenantServingSim {
             })
             .collect();
         let shares: Vec<f64> = tenants.iter().map(|t| t.goodput_rps).collect();
-        TenancyServingReport {
+        Ok(TenancyServingReport {
             admitted: tenants.iter().map(|t| t.admitted).sum(),
             rejected: tenants.iter().map(|t| t.rejected).sum(),
             deferred: tenants.iter().map(|t| t.deferred).sum(),
             jain_fairness: jain_index(&shares),
             tenants,
             base,
-        }
+        })
     }
 }
 

@@ -95,13 +95,15 @@ impl Group {
     }
 
     /// Inserts trace index `idx` into the waiting queue at `now`, before
-    /// the first waiting index `before` accepts (at the back if none).
+    /// the first waiting index `before` accepts (at the back if none),
+    /// in O(log depth).
+    ///
+    /// Precondition: the queue is partitioned by `before` — every index
+    /// it rejects precedes every index it accepts. A queue kept sorted
+    /// by one key, with `before` a strict `>` against that key, always
+    /// is; such a queue is FIFO among equal keys.
     pub fn enqueue_before(&mut self, now: Seconds, idx: usize, before: impl Fn(usize) -> bool) {
-        let pos = self
-            .waiting
-            .iter()
-            .position(|&w| before(w))
-            .unwrap_or(self.waiting.len());
+        let pos = self.waiting.partition_point(|&w| !before(w));
         self.insert(now, pos, idx);
     }
 
@@ -530,6 +532,19 @@ mod tests {
         assert_eq!(pool.per_group_requests, [2, 0]);
         assert_eq!(pool.queue_depth.first(), Some(&(Seconds::ZERO, 1)));
         assert_eq!(pool.queue_depth.last(), Some(&(Seconds::ZERO, 0)));
+    }
+
+    #[test]
+    fn priority_insertion_is_fifo_within_a_class() {
+        // Lower number = higher priority; inserting before the first
+        // strictly lower-priority entry keeps the queue sorted.
+        let prio = [1u8, 0, 1, 0, 2, 1];
+        let mut group = Group::default();
+        for (idx, &p) in prio.iter().enumerate() {
+            group.enqueue_before(Seconds::ZERO, idx, |w| prio[w] > p);
+        }
+        assert_eq!(group.waiting, [1, 3, 0, 2, 5, 4]);
+        assert_eq!(group.stats.served, prio.len());
     }
 
     #[test]

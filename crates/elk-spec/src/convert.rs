@@ -446,8 +446,10 @@ fn validate_arrivals(arrivals: &ArrivalProcess) -> Result<(), SpecError> {
         } => {
             positive("trace.arrivals.rate_rps", rate_rps)?;
             positive("trace.arrivals.period_s", period_s)?;
-            if burst_factor < 1.0 {
-                return Err(invalid("trace.arrivals.burst_factor must be >= 1"));
+            if !(burst_factor >= 1.0 && burst_factor.is_finite()) {
+                return Err(invalid(format!(
+                    "trace.arrivals.burst_factor must be a finite number >= 1, got {burst_factor}"
+                )));
             }
             if !(duty > 0.0 && duty < 1.0) {
                 return Err(invalid("trace.arrivals.duty must be in (0, 1)"));
@@ -538,6 +540,7 @@ fn validate_rate(rate: &RateShape) -> Result<(), SpecError> {
             burst_s,
         } => {
             positive(&format!("{at}.base_rps"), base_rps)?;
+            positive(&format!("{at}.burst_rps"), burst_rps)?;
             positive(&format!("{at}.period_s"), period_s)?;
             positive(&format!("{at}.burst_s"), burst_s)?;
             if burst_rps < base_rps {

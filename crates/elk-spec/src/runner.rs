@@ -6,7 +6,7 @@
 //! scenario that names a preset produces byte-identical reports to the
 //! equivalent non-spec run — the golden tests pin this.
 
-use elk_baselines::DesignRunner;
+use elk_baselines::{Design, DesignRunner};
 use elk_cluster::{
     AutoscaleServingSim, ClusterError, ClusterEstimator, ClusterServeConfig, ClusterServingSim,
     DisaggConfig, DisaggServingSim, ParallelismPlan, TenantServingSim,
@@ -20,7 +20,7 @@ use crate::report::{
     ClusterRunReport, CompileReport, DesignCompileReport, DesignSimRow, ServeReport,
     SimulateReport, TraceGenReport,
 };
-use crate::spec::{ClusterSpec, ScenarioSpec, TraceSourceSpec};
+use crate::spec::{ScenarioSpec, TraceSourceSpec};
 use crate::SpecError;
 
 impl From<ClusterError> for SpecError {
@@ -292,38 +292,21 @@ pub fn run_serve_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ServeReport,
     let config = spec.serving.to_config(model.clone(), shards, sim_opts)?;
     let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
 
-    let mut sim = ServingSim::new(system.clone(), config.clone());
+    let mut sim = ServingSim::new(system.clone(), config);
     sim.set_obs(obs.clone());
-    let designs = spec
-        .compiler
-        .design
-        .iter()
-        .map(|&design| Ok(sim.run(design, &trace)?))
-        .collect::<Result<Vec<_>, SpecError>>()?;
+    // The flat pool and the tenancy row both dispatch round-robin.
+    let flat = [RouterPolicy::RoundRobin];
+    let designs = rows(&spec.compiler.design, &flat, |d, _| sim.run(d, &trace))?;
 
-    let tenancy = match &spec.serving.tenants {
-        Some(t) => {
-            let mut engine = TenantServingSim::new(
-                system,
-                ClusterServeConfig {
-                    model: model.clone(),
-                    plan: ParallelismPlan::new(shards, 1, spec.serving.replicas as u64),
-                    batch: config.batch,
-                    slo: config.slo,
-                    sim: sim_opts,
-                    threads: spec.serving.threads,
-                },
-                t.to_config()?,
-            )?;
-            engine.set_obs(obs.clone());
-            let mut rows = Vec::new();
-            for &design in &spec.compiler.design {
-                rows.push(engine.run(design, RouterPolicy::RoundRobin, &trace, &tenant_ids)?);
-            }
-            Some(rows)
-        }
-        None => None,
-    };
+    let mut tenancy = None;
+    if let Some(t) = &spec.serving.tenants {
+        let plan = ParallelismPlan::new(shards, 1, spec.serving.replicas as u64);
+        let config = cluster_config(spec, plan, &sim_opts, spec.serving.threads)?;
+        let mut engine = TenantServingSim::new(system, config, t.to_config()?)?;
+        engine.set_obs(obs.clone());
+        let run = |d, p| engine.run(d, p, &trace, &tenant_ids);
+        tenancy = Some(rows(&spec.compiler.design, &flat, run)?);
+    }
 
     Ok(ServeReport {
         scenario: spec.name.clone(),
@@ -388,29 +371,52 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
         }
     };
 
-    let serving = if cluster.serve {
-        Some(run_cluster_serving(
-            spec, &cluster, &system, &estimate, &sim, obs,
-        )?)
-    } else {
-        None
-    };
-    let autoscale = match (&cluster.autoscale, cluster.serve) {
-        (Some(auto), true) => Some(run_cluster_autoscale(
-            spec, &cluster, auto, &system, &estimate, &sim, obs,
-        )?),
-        _ => None,
-    };
-    let disagg = match (&cluster.disaggregate, cluster.serve) {
-        (Some(d), true) => Some(run_cluster_disagg(spec, &cluster, d, &system, &sim, obs)?),
-        _ => None,
-    };
-    let tenancy = match (&cluster.tenants, cluster.serve) {
-        (Some(t), true) => Some(run_cluster_tenancy(
-            spec, &cluster, t, &system, &estimate, &sim, obs,
-        )?),
-        _ => None,
-    };
+    // Each serving engine replays the one trace once per design (×
+    // router policy), reusing its plan cache across rows.
+    let designs = &spec.compiler.design;
+    let (mut serving, mut autoscale, mut disagg, mut tenancy) = (None, None, None, None);
+    if cluster.serve {
+        let routed = cluster_config(spec, estimate.plan, &sim, cluster.threads)?;
+        let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
+        let mut engine = ClusterServingSim::new(system.clone(), routed.clone())?;
+        engine.set_obs(obs.clone());
+        let run = |design, policy| engine.run(design, policy, &trace);
+        serving = Some(rows(designs, &cluster.router, run)?);
+
+        if let Some(auto) = &cluster.autoscale {
+            let auto = auto.to_config()?;
+            let mut engine = AutoscaleServingSim::new(system.clone(), routed.clone(), auto)?;
+            engine.set_obs(obs.clone());
+            let run = |design, _| engine.run(design, &trace);
+            autoscale = Some(rows(designs, &[RouterPolicy::LeastOutstanding], run)?);
+        }
+        if let Some(pools) = &cluster.disaggregate {
+            let (prefill, decode) = pools.to_plans()?;
+            let serve = spec.serving.to_config(model.clone(), prefill.tp, sim)?;
+            let mut engine = DisaggServingSim::new(
+                system.clone(),
+                DisaggConfig {
+                    batch: serve.batch,
+                    slo: serve.slo,
+                    sim,
+                    threads: cluster.threads,
+                    chunk_tokens: pools.chunk_tokens,
+                    shared_chips: pools.shared_chips,
+                    ..DisaggConfig::new(model.clone(), prefill, decode)
+                },
+            )?;
+            engine.set_obs(obs.clone());
+            let run = |design, policy| engine.run(design, policy, &trace);
+            disagg = Some(rows(designs, &cluster.router, run)?);
+        }
+        if let Some(tenants) = &cluster.tenants {
+            let classes = tenants.to_config()?;
+            let mut engine = TenantServingSim::new(system.clone(), routed.clone(), classes)?;
+            engine.set_obs(obs.clone());
+            let run = |design, policy| engine.run(design, policy, &trace, &tenant_ids);
+            tenancy = Some(rows(designs, &cluster.router, run)?);
+        }
+    }
 
     Ok(ClusterRunReport {
         scenario: spec.name.clone(),
@@ -429,155 +435,38 @@ pub fn run_cluster_observed(spec: &ScenarioSpec, obs: &Obs) -> Result<ClusterRun
     })
 }
 
-/// The serving half of `elk cluster`: one routed replay per design ×
-/// router policy, sharing one engine (and therefore one plan cache).
-fn run_cluster_serving(
+/// The [`ClusterServeConfig`] the routed engines serve the scenario
+/// with on `plan`: the serving spec's validated batching and SLO. Its
+/// replica and thread knobs are the flat-pool ones, superseded here by
+/// `plan` and `threads`.
+fn cluster_config(
     spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    system: &elk_hw::SystemConfig,
-    estimate: &elk_cluster::ClusterReport,
+    plan: ParallelismPlan,
     sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::ClusterServingReport>, SpecError> {
+    threads: usize,
+) -> Result<ClusterServeConfig, SpecError> {
     let model = spec.model.as_transformer()?;
-    // Reuse the serving spec's validated batching/SLO conversion; the
-    // replica/thread knobs it carries are the flat-pool ones and are
-    // superseded by the cluster layout.
-    let serve_cfg = spec
-        .serving
-        .to_config(model.clone(), estimate.plan.tp, *sim)?;
-    let trace = resolve_trace(spec)?;
-
-    let mut engine = ClusterServingSim::new(
-        system.clone(),
-        ClusterServeConfig {
-            model,
-            plan: estimate.plan,
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-        },
-    )?;
-    engine.set_obs(obs.clone());
-    let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        for &policy in &cluster.router {
-            rows.push(engine.run(design, policy, &trace)?);
-        }
-    }
-    Ok(rows)
+    let serve = spec.serving.to_config(model.clone(), plan.tp, *sim)?;
+    Ok(ClusterServeConfig {
+        model,
+        plan,
+        batch: serve.batch,
+        slo: serve.slo,
+        sim: *sim,
+        threads,
+    })
 }
 
-/// The autoscaled half of `elk cluster`: one elastic-fleet replay per
-/// design, on `(tp, pp)` groups of the estimated plan.
-#[allow(clippy::too_many_arguments)]
-fn run_cluster_autoscale(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    auto: &crate::spec::AutoscaleSpec,
-    system: &elk_hw::SystemConfig,
-    estimate: &elk_cluster::ClusterReport,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::AutoscaleReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
-    let serve_cfg = spec
-        .serving
-        .to_config(model.clone(), estimate.plan.tp, *sim)?;
-    let trace = resolve_trace(spec)?;
-    let mut engine = AutoscaleServingSim::new(
-        system.clone(),
-        ClusterServeConfig {
-            model,
-            plan: estimate.plan,
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-        },
-        auto.to_config()?,
-    )?;
-    engine.set_obs(obs.clone());
+/// `run`'s report for every design × router policy, in that order.
+fn rows<R, E: Into<SpecError>>(
+    designs: &[Design],
+    policies: &[RouterPolicy],
+    mut run: impl FnMut(Design, RouterPolicy) -> Result<R, E>,
+) -> Result<Vec<R>, SpecError> {
     let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        rows.push(engine.run(design, &trace)?);
-    }
-    Ok(rows)
-}
-
-/// The multi-tenant half of `elk cluster`: one admission-controlled
-/// replay per design × router policy, sharing one engine (and
-/// therefore one plan cache across every class model).
-#[allow(clippy::too_many_arguments)]
-fn run_cluster_tenancy(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    tenants: &crate::spec::TenancySpec,
-    system: &elk_hw::SystemConfig,
-    estimate: &elk_cluster::ClusterReport,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::TenancyServingReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
-    let serve_cfg = spec
-        .serving
-        .to_config(model.clone(), estimate.plan.tp, *sim)?;
-    let (trace, tenant_ids) = resolve_trace_with_tenants(spec)?;
-    let mut engine = TenantServingSim::new(
-        system.clone(),
-        ClusterServeConfig {
-            model,
-            plan: estimate.plan,
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-        },
-        tenants.to_config()?,
-    )?;
-    engine.set_obs(obs.clone());
-    let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        for &policy in &cluster.router {
-            rows.push(engine.run(design, policy, &trace, &tenant_ids)?);
-        }
-    }
-    Ok(rows)
-}
-
-/// The disaggregated half of `elk cluster`: one two-pool replay per
-/// design × router policy, sharing one engine (and therefore one plan
-/// cache across both pools).
-fn run_cluster_disagg(
-    spec: &ScenarioSpec,
-    cluster: &ClusterSpec,
-    disagg: &crate::spec::DisaggSpec,
-    system: &elk_hw::SystemConfig,
-    sim: &elk_sim::SimOptions,
-    obs: &Obs,
-) -> Result<Vec<elk_cluster::DisaggServingReport>, SpecError> {
-    let model = spec.model.as_transformer()?;
-    let (prefill, decode) = disagg.to_plans()?;
-    let serve_cfg = spec.serving.to_config(model.clone(), prefill.tp, *sim)?;
-    let trace = resolve_trace(spec)?;
-    let mut engine = DisaggServingSim::new(
-        system.clone(),
-        DisaggConfig {
-            batch: serve_cfg.batch,
-            slo: serve_cfg.slo,
-            sim: *sim,
-            threads: cluster.threads,
-            chunk_tokens: disagg.chunk_tokens,
-            shared_chips: disagg.shared_chips,
-            ..DisaggConfig::new(model, prefill, decode)
-        },
-    )?;
-    engine.set_obs(obs.clone());
-    let mut rows = Vec::new();
-    for &design in &spec.compiler.design {
-        for &policy in &cluster.router {
-            rows.push(engine.run(design, policy, &trace)?);
+    for &design in designs {
+        for &policy in policies {
+            rows.push(run(design, policy).map_err(Into::into)?);
         }
     }
     Ok(rows)

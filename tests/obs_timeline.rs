@@ -11,6 +11,14 @@ use std::process::Command;
 
 use serde::Value;
 
+/// Digests of the `elk cluster` report, timeline and metrics (see
+/// [`check_scenario`]) for the routed colocated engines: the plain,
+/// tenancy and autoscale front-ends of one event loop. A deliberate
+/// change to their output re-pins these.
+const TENANTS_OVERLOAD_PIN: u64 = 0x041f_69d1_bed0_e3ba;
+const AUTOSCALE_BURST_PIN: u64 = 0x6f54_37e1_426c_b383;
+const CLUSTER_ROUTER_BURST_PIN: u64 = 0xd5e2_5c56_d396_c943;
+
 fn scenario(name: &str) -> String {
     format!("{}/scenarios/{name}", env!("CARGO_MANIFEST_DIR"))
 }
@@ -22,13 +30,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// Runs `elk <command> <scenario> --threads N --timeline ...` and
-/// returns the raw bytes of the timeline and metrics files.
-fn export_timeline(
-    command: &str,
-    scenario_file: &str,
-    threads: u32,
-    out: &Path,
-) -> (String, String) {
+/// returns the raw bytes of the report, timeline and metrics files.
+fn export_timeline(command: &str, scenario_file: &str, threads: u32, out: &Path) -> [String; 3] {
     let timeline = out.join(format!("t{threads}.timeline.json"));
     let output = Command::new(env!("CARGO_BIN_EXE_elk"))
         .args([
@@ -49,10 +52,25 @@ fn export_timeline(
         String::from_utf8_lossy(&output.stderr)
     );
     let metrics = out.join(format!("t{threads}.metrics.json"));
-    (
-        std::fs::read_to_string(&timeline).expect("timeline emitted"),
-        std::fs::read_to_string(&metrics).expect("metrics emitted"),
-    )
+    let stem = Path::new(scenario_file)
+        .file_stem()
+        .expect("scenario file name");
+    let report = out.join(format!("{}.{command}.json", stem.to_string_lossy()));
+    [&report, &timeline, &metrics]
+        .map(|f| std::fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display())))
+}
+
+/// 64-bit FNV-1a over `parts`, each prefixed with its byte length.
+fn fnv1a(parts: &[String]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        let len = (part.len() as u64).to_le_bytes();
+        for &b in len.iter().chain(part.as_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// Same recursive walk the report golden tests use: a deterministic
@@ -138,17 +156,26 @@ fn event_names(events: &[Value]) -> Vec<String> {
 /// identity, then structural coverage of all three instrumented layers:
 /// compile lanes, the engine's own tracks (`engine_tracks`, by prefix:
 /// its kernel track and any engine-specific ones), and request lanes.
-fn check_scenario(command: &str, file: &str, engine_tracks: &[&str], tag: &str) {
+/// A `pin` is the FNV-1a digest of the report, timeline and metrics:
+/// it catches a drift that is the same at every thread count.
+fn check_scenario(command: &str, file: &str, engine_tracks: &[&str], tag: &str, pin: Option<u64>) {
     let out = fresh_dir(tag);
     let scenario_file = scenario(file);
     let t1 = export_timeline(command, &scenario_file, 1, &out);
     let t8 = export_timeline(command, &scenario_file, 8, &out);
+    // The report is left out: `elk serve` reports carry the plan-cache
+    // hit/miss split, which shifts with the thread count.
     assert_eq!(
-        t1, t8,
+        t1[1..],
+        t8[1..],
         "{file}: timeline + metrics must be byte-identical at --threads 1 vs 8"
     );
+    if let Some(pin) = pin {
+        let digest = fnv1a(&t1);
+        assert_eq!(digest, pin, "{file}: output digest {digest:#018x} drifted");
+    }
 
-    let (timeline_text, metrics_text) = &t1;
+    let [_, timeline_text, metrics_text] = &t1;
     let timeline: Value = serde_json::from_str(timeline_text).expect("timeline parses");
     let metrics: Value = serde_json::from_str(metrics_text).expect("metrics parse");
     assert_no_wall_clock_keys(&timeline, "timeline");
@@ -198,7 +225,13 @@ fn check_scenario(command: &str, file: &str, engine_tracks: &[&str], tag: &str) 
 fn serve_timeline_is_deterministic_and_spans_all_layers() {
     // serving_burst replays a bursty flat-pool trace: kernel events
     // land on per-replica tracks.
-    check_scenario("serve", "serving_burst.json", &["serve/replica"], "serve");
+    check_scenario(
+        "serve",
+        "serving_burst.json",
+        &["serve/replica"],
+        "serve",
+        None,
+    );
 }
 
 #[test]
@@ -210,6 +243,20 @@ fn cluster_timeline_is_deterministic_and_spans_all_layers() {
         "tenants_overload.json",
         &["tenancy/kernel"],
         "cluster",
+        Some(TENANTS_OVERLOAD_PIN),
+    );
+}
+
+#[test]
+fn routed_cluster_timeline_is_deterministic_and_spans_all_layers() {
+    // cluster_router_burst replays one trace under every router policy
+    // on the plain routed engine.
+    check_scenario(
+        "cluster",
+        "cluster_router_burst.json",
+        &["cluster/kernel"],
+        "routed",
+        Some(CLUSTER_ROUTER_BURST_PIN),
     );
 }
 
@@ -222,6 +269,7 @@ fn autoscale_timeline_is_deterministic_and_spans_all_layers() {
         "autoscale_burst.json",
         &["autoscale/kernel", "fleet"],
         "autoscale",
+        Some(AUTOSCALE_BURST_PIN),
     );
 }
 
@@ -229,7 +277,13 @@ fn autoscale_timeline_is_deterministic_and_spans_all_layers() {
 fn disagg_timeline_is_deterministic_and_spans_all_layers() {
     // disagg_chat runs the two-pool engine: prefill, handoff and decode
     // legs share each request's lane.
-    check_scenario("cluster", "disagg_chat.json", &["disagg/kernel"], "disagg");
+    check_scenario(
+        "cluster",
+        "disagg_chat.json",
+        &["disagg/kernel"],
+        "disagg",
+        None,
+    );
 }
 
 #[test]
@@ -239,7 +293,7 @@ fn simulate_timeline_records_the_compile_pipeline() {
     let t1 = export_timeline("simulate", &scenario_file, 1, &out);
     let t8 = export_timeline("simulate", &scenario_file, 8, &out);
     assert_eq!(t1, t8, "simulate timeline must be thread-count invariant");
-    let timeline: Value = serde_json::from_str(&t1.0).expect("timeline parses");
+    let timeline: Value = serde_json::from_str(&t1[1]).expect("timeline parses");
     assert_no_wall_clock_keys(&timeline, "timeline");
     let tracks = track_names(trace_events(&timeline));
     assert!(

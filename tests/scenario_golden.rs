@@ -7,7 +7,9 @@
 //! 3. compiling through the spec path produces a byte-identical
 //!    `SimReport` to the equivalent preset-path run, and its total
 //!    matches the constant pinned in `golden_report.rs`;
-//! 4. `elk sweep` output is byte-identical at `--threads 1` vs `8`.
+//! 4. `elk sweep` output is byte-identical at `--threads 1` vs `8`;
+//! 5. a non-finite number where the engines need a finite one is a
+//!    typed error with exit code 2, never a panic or a hang.
 
 use elk::baselines::{Design, DesignRunner};
 use elk::prelude::*;
@@ -187,4 +189,55 @@ fn moe_skip_writes_a_structured_marker() {
         );
     }
     let _ = std::fs::remove_dir_all(&out);
+}
+
+/// Runs `elk <command>` on `file` with `value` substituted at the dotted
+/// `path`, and asserts it fails as a spec error (exit code 2) naming
+/// the field. The JSON strings `"NaN"` and `"Infinity"` parse as `f64`.
+fn assert_rejected(command: &str, file: &str, path: &str, value: &str) {
+    let mut doc: serde::Value = serde_json::from_str(&read_scenario(file)).expect("parses");
+    set_path(&mut doc, path, serde::Value::Str(value.to_string())).unwrap();
+    let dir = std::env::temp_dir().join(format!("elk-nonfinite-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let field = path.rsplit('.').next().expect("non-empty path");
+    let scenario = dir.join(format!("{field}-{value}.json"));
+    std::fs::write(&scenario, serde_json::to_string(&doc).expect("serialize")).expect("write");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_elk"))
+        .arg(command)
+        .arg(&scenario)
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("spawn elk");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "`elk {command}` with {path} = {value}: {stderr}"
+    );
+    assert!(stderr.contains(field), "the error names {field}: {stderr}");
+}
+
+#[test]
+fn non_finite_burst_factor_is_a_spec_error() {
+    let path = "serving.trace.arrivals.Bursty.burst_factor";
+    for value in ["NaN", "Infinity"] {
+        assert_rejected("serve", "serving_burst.json", path, value);
+    }
+}
+
+#[test]
+fn non_finite_burst_rps_is_a_spec_error() {
+    let path = "workload.trace.generate.rate.BurstTrain.burst_rps";
+    for value in ["NaN", "Infinity"] {
+        assert_rejected("serve", "autoscale_burst.json", path, value);
+    }
+}
+
+#[test]
+fn non_finite_cold_start_steps_is_a_spec_error() {
+    let path = "cluster.autoscale.cold_start_steps";
+    for value in ["NaN", "Infinity"] {
+        assert_rejected("cluster", "autoscale_burst.json", path, value);
+    }
 }
